@@ -11,10 +11,8 @@ applicable, 4 numeric failure.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
@@ -22,14 +20,13 @@ import numpy as np
 
 from .bounds import (
     BoundCertificate,
-    Branch,
     PowerLawParams,
     b_domain_lower,
     big_B,
     theorem_bound,
 )
 from .config import ScenarioConfig, load_config
-from .detect import DetectionReport, NoCrossing, RefinementPolicy, detect
+from .detect import NoCrossing, RefinementPolicy, detect
 from .errors import (
     ConfigError,
     DomainError,
@@ -37,17 +34,8 @@ from .errors import (
     NotApplicableError,
     OverflowRangeError,
 )
-from .scenarios import EXAMPLE_ALPHAS, EXAMPLE_NAMES, detection_scenario, system_spec
-from .solver import (
-    Completed,
-    NonFinite,
-    Overflowed,
-    PowerLawRhs,
-    SolverConfig,
-    SystemSpec,
-    Trajectory,
-    solve,
-)
+from .scenarios import EXAMPLE_ALPHAS, detection_scenario, system_spec
+from .solver import Completed, Overflowed, SolverConfig, Trajectory, solve
 
 __all__ = ["main", "cmd_bound", "cmd_solve", "cmd_detect", "cmd_b_curve", "cmd_reproduce"]
 
@@ -63,14 +51,6 @@ def _params(cfg: ScenarioConfig, alpha: float) -> PowerLawParams:
     return PowerLawParams(alpha=alpha, q1=cfg.q1, q2=cfg.q2,
                           p11=cfg.p11, p12=cfg.p12, p21=cfg.p21, p22=cfg.p22,
                           x0=cfg.x0, y0=cfg.y0)
-
-
-def _system(cfg: ScenarioConfig, alpha: float) -> SystemSpec:
-    rhs = PowerLawRhs(q=np.array([cfg.q1, cfg.q2]),
-                      exponents=np.array([[cfg.p11, cfg.p12],
-                                          [cfg.p21, cfg.p22]]))
-    return SystemSpec(alpha=alpha, dimension=2, rhs=rhs,
-                      initial_state=np.array([cfg.x0, cfg.y0]))
 
 
 def _solver_config(cfg: ScenarioConfig) -> SolverConfig:
@@ -174,7 +154,7 @@ def _status_line(alpha: float, trajectory: Trajectory) -> str:
 def cmd_solve(cfg: ScenarioConfig, out_dir: Path = Path(".")) -> int:
     solver_cfg = _solver_config(cfg)
     for alpha in cfg.alphas:
-        trajectory = solve(_system(cfg, alpha), solver_cfg)
+        trajectory = solve(system_spec(_params(cfg, alpha)), solver_cfg)
         csv_path = out_dir / f"{cfg.name}_alpha{alpha:g}.csv"
         _write_csv(csv_path, trajectory.times, trajectory.states)
         _write_trajectory_plot(csv_path, trajectory.states.shape[1])
@@ -187,7 +167,7 @@ def cmd_detect(cfg: ScenarioConfig) -> int:
     solver_cfg = _solver_config(cfg)
     policy = RefinementPolicy(budget=cfg.budget)
     for alpha in cfg.alphas:
-        result = detect(_system(cfg, alpha), solver_cfg, policy)
+        result = detect(system_spec(_params(cfg, alpha)), solver_cfg, policy)
         if isinstance(result, NoCrossing):
             print(f"alpha={alpha:g}: no crossing in [0, {solver_cfg.T:g}] "
                   f"at finest N = {result.finest_n}")
@@ -260,34 +240,19 @@ _FLAG_NOTE = ("flagged: source table reads 0.085 but its figure reads 0.85; "
               "detected value shown, row excluded from the pass tally")
 
 
-def _thread_count() -> int:
-    raw = os.environ.get("FRACBURST_THREADS", "").strip()
-    if raw:
-        try:
-            n = int(raw)
-        except ValueError:
-            raise ConfigError(f"FRACBURST_THREADS is not an integer: {raw!r}") from None
-        if n < 1:
-            raise ConfigError(f"FRACBURST_THREADS must be >= 1, got {n}")
-        return n
-    return os.cpu_count() or 1
-
-
 def _reproduce_row(example: int, alpha: float, base_n: int, out_dir: Path) -> _ReproRow:
     row = _ReproRow(example=example, alpha=alpha)
     try:
         scenario = detection_scenario(example, alpha, base_n=base_n)
         row.tau_ub = scenario.certificate.tau_ub
         row.lambda_m = scenario.certificate.scalar.lambda_m
-        spec = system_spec(scenario.params)
-        result = detect(spec, scenario.base_config, RefinementPolicy(scenario.budget))
+        result = detect(system_spec(scenario.params), scenario.base_config,
+                        RefinementPolicy(scenario.budget))
         if isinstance(result, NoCrossing):
             row.no_crossing = True
-            finest_n = result.finest_n
         else:
             row.t_num = result.t_num
-            finest_n = result.runs[-1][0]
-        trajectory = solve(spec, replace(scenario.base_config, N=finest_n))
+        trajectory = result.trajectory
         csv_path = out_dir / f"{scenario.name}.csv"
         _write_csv(csv_path, trajectory.times, trajectory.states)
         _write_trajectory_plot(csv_path, trajectory.states.shape[1])
@@ -298,22 +263,18 @@ def _reproduce_row(example: int, alpha: float, base_n: int, out_dir: Path) -> _R
 
 def cmd_reproduce(out_dir: Path = Path("."), base_n: int = 4096) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
-    jobs = [(ex, alpha) for ex in (1, 2, 3) for alpha in EXAMPLE_ALPHAS]
-    with ThreadPoolExecutor(max_workers=_thread_count()) as pool:
-        rows = list(pool.map(
-            lambda job: _reproduce_row(job[0], job[1], base_n, out_dir), jobs
-        ))
-    by_example: dict[int, list[_ReproRow]] = {1: [], 2: [], 3: []}
-    for row in rows:
-        by_example[row.example].append(row)
+    by_example = {
+        example: [_reproduce_row(example, alpha, base_n, out_dir) for alpha in EXAMPLE_ALPHAS]
+        for example in (1, 2, 3)
+    }
 
     any_error = False
-    for example in (1, 2, 3):
+    for example, rows in by_example.items():
         with_lambda = example == 1
         print(f"Example {example}")
         header = ["alpha"] + (["lambda_m"] if with_lambda else []) + ["t_num", "tau_ub", "t_num < tau_ub"]
         print("  " + "  ".join(f"{h:>14s}" for h in header))
-        for row in by_example[example]:
+        for row in rows:
             cells = [f"{row.alpha:g}"]
             if with_lambda:
                 cells.append("-" if row.lambda_m is None else _fmt(row.lambda_m))

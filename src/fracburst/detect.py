@@ -4,11 +4,13 @@ The crossing time is the first grid point where the component-magnitude sum
 exceeds the configured overflow threshold. The grid is doubled until two
 successive crossing times agree to within the coarser step or the refinement
 budget runs out; the finest crossing and its step size are reported.
+Every result also carries the finest level's trajectory, so a caller that
+wants the trajectory itself need not solve that grid again.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Optional, Union
 
 import numpy as np
@@ -42,6 +44,7 @@ class DetectionReport:
     uncertainty: float
     runs: tuple[tuple[int, Optional[float]], ...]
     converged: bool
+    trajectory: Trajectory = field(compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -49,6 +52,7 @@ class NoCrossing:
     horizon: float
     finest_n: int
     runs: tuple[tuple[int, Optional[float]], ...]
+    trajectory: Trajectory = field(compare=False, repr=False)
 
 
 DetectionResult = Union[DetectionReport, NoCrossing]
@@ -97,6 +101,7 @@ def detect(
                     uncertainty=base_config.T / n,
                     runs=tuple(runs),
                     converged=True,
+                    trajectory=trajectory,
                 )
         prev_crossing = crossing
 
@@ -110,10 +115,12 @@ def detect(
             horizon=base_config.T,
             finest_n=runs[-1][0],
             runs=tuple(runs),
+            trajectory=trajectory,
         )
     return DetectionReport(
         t_num=crossing,
         uncertainty=base_config.T / runs[-1][0],
         runs=tuple(runs),
         converged=False,
+        trajectory=trajectory,
     )

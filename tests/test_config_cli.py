@@ -224,12 +224,12 @@ def test_csv_schema(solved):
 
 def test_csv_round_trip(solved):
     cfg, _, _, tmp_path = solved
-    from fracburst import SolverConfig, solve
-    from fracburst.cli import _system
+    from fracburst import SolverConfig, solve, system_spec
+    from fracburst.cli import _params
 
     header, data = read_csv(tmp_path / "scenario_alpha0.5.csv")
-    traj = solve(_system(cfg, 0.5), SolverConfig(T=0.01, N=256,
-                                                 overflow_threshold=cfg.threshold))
+    traj = solve(system_spec(_params(cfg, 0.5)),
+                 SolverConfig(T=0.01, N=256, overflow_threshold=cfg.threshold))
     assert data.shape == (257, 3)
     original = np.column_stack([traj.times, traj.states])
     for k in range(data.shape[0]):
@@ -388,13 +388,6 @@ budget = 0
     assert "numeric failure" in capsys.readouterr().err
 
 
-def test_main_reproduce_rejects_bad_thread_count(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("FRACBURST_THREADS", "zero")
-    code = main(["reproduce", "--out-dir", str(tmp_path)])
-    assert code == EXIT_CONFIG
-    assert "FRACBURST_THREADS" in capsys.readouterr().err
-
-
 def test_main_no_arguments_exits_2():
     with pytest.raises(SystemExit) as exc:
         main([])
@@ -445,6 +438,19 @@ def test_reproduce_lambda_column_only_for_example_1(reproduce_tables):
             assert row["lambda_m"] is not None
         else:
             assert row["lambda_m"] is None
+
+
+def test_reproduce_solves_no_grid_outside_detect(tmp_path, monkeypatch):
+    from fracburst import cli
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("reproduce solved a grid outside detect")
+
+    monkeypatch.setattr(cli, "solve", no_solve)
+    with redirect_stdout(io.StringIO()):
+        code = cli.cmd_reproduce(out_dir=tmp_path, base_n=64)
+    assert code == EXIT_OK
+    assert len(list(tmp_path.glob("*.csv"))) == 12
 
 
 def test_reproduce_is_bit_reproducible(reproduce_run, tmp_path):

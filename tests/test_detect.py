@@ -11,6 +11,7 @@ alias into the comparison.
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -27,7 +28,9 @@ from fracburst import (
     SystemSpec,
     crossing_time,
     detect,
+    detection_scenario,
     solve,
+    system_spec,
 )
 
 # detected times on the default ladder (base N=4096, budget 5); a change
@@ -48,6 +51,16 @@ ROBUST_ROWS = [(1, 0.1), (1, 0.4), (1, 0.6),
 def scalar_spec(alpha, rhs, u0=1.0):
     return SystemSpec(alpha=alpha, dimension=1, rhs=rhs,
                       initial_state=np.array([u0]))
+
+
+def assert_finest_trajectory(result, spec, base_config):
+    # the carried trajectory is exactly the finest level's solve
+    finest_n, finest_crossing = result.runs[-1]
+    fresh = solve(spec, replace(base_config, N=finest_n))
+    assert np.array_equal(result.trajectory.times, fresh.times)
+    assert np.array_equal(result.trajectory.states, fresh.states)
+    threshold = base_config.overflow_threshold
+    assert crossing_time(result.trajectory, threshold) == finest_crossing
 
 
 # ---------------------------------------------------------------------------
@@ -86,6 +99,15 @@ def test_no_crossing_on_bounded_problem():
     assert result.horizon == 1.0
     assert result.finest_n == 64
     assert result.runs == ((32, None), (64, None))
+    assert_finest_trajectory(result, scalar_spec(0.5, rhs), SolverConfig(T=1.0, N=32))
+
+
+def test_converged_report_carries_finest_trajectory():
+    scenario = detection_scenario(3, 0.6, base_n=32)
+    spec = system_spec(scenario.params)
+    result = detect(spec, scenario.base_config, RefinementPolicy(1))
+    assert isinstance(result, DetectionReport) and result.converged
+    assert_finest_trajectory(result, spec, scenario.base_config)
 
 
 def test_nonfinite_before_crossing_raises():
@@ -184,10 +206,6 @@ def test_threshold_insensitive_all_rows(robustness_deltas):
 # predictor-only agreement
 
 def test_predictor_only_crossing_within_one_base_cell():
-    from dataclasses import replace
-
-    from fracburst import detection_scenario, system_spec
-
     scenario = detection_scenario(3, 0.6)
     spec = system_spec(scenario.params)
     full = detect(spec, scenario.base_config, RefinementPolicy(scenario.budget))
