@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .errors import BracketingError, DomainError, NotApplicableError, OverflowRangeError
 from .special import ln_gamma, _LN_MAX
@@ -91,7 +91,7 @@ class Branch(enum.Enum):
 
 @dataclass(frozen=True)
 class PowerLawParams:
-    """The two-component system t^q1 x^p11 y^p12 / t^q2 y^p21 x^p22."""
+    """The two-component system t^q1 x^p11 y^p12 / t^q2 x^p21 y^p22."""
 
     alpha: float
     q1: float
@@ -161,13 +161,9 @@ def big_B(lam: float, alpha: float, p_tilde: float, q: float) -> float:
     return math.exp(ln_b)
 
 
-def _domain_boundary(alpha: float, p_tilde: float, q: float) -> float:
-    return max(alpha * p_tilde - 1.0, p_tilde * (q + alpha) - q - 2.0)
-
-
 def b_domain_lower(alpha: float, p_tilde: float, q: float) -> float:
     """Infimum of the lambda domain of big_B; B is defined for lambda above it."""
-    return _domain_boundary(alpha, p_tilde, q)
+    return max(alpha * p_tilde - 1.0, p_tilde * (q + alpha) - q - 2.0)
 
 
 def _check_admissible(alpha: float, p_tilde: float, q: float) -> None:
@@ -186,7 +182,7 @@ def _check_admissible(alpha: float, p_tilde: float, q: float) -> None:
 def _minimize_ln_big_B(alpha: float, p_tilde: float, q: float):
     """Bracket and golden-section the log of B; returns full diagnostics."""
     _check_admissible(alpha, p_tilde, q)
-    lo = _domain_boundary(alpha, p_tilde, q)
+    lo = b_domain_lower(alpha, p_tilde, q)
     f = lambda lam: _ln_big_B(lam, alpha, p_tilde, q)
 
     # expand geometrically away from the boundary until B turns upward
@@ -374,18 +370,7 @@ def theorem_bound(params: PowerLawParams) -> BoundCertificate:
     )
     if cert1 is not None and cert2 is not None:
         win, alt = (cert1, cert2) if cert1.tau_ub <= cert2.tau_ub else (cert2, cert1)
-        return BoundCertificate(
-            branch=Branch.EQUAL_Q_BOTH,
-            j=win.j,
-            gamma_j=win.gamma_j,
-            p_j=win.p_j,
-            p_tilde_j=win.p_tilde_j,
-            u_j=win.u_j,
-            q_j=win.q_j,
-            scalar=win.scalar,
-            tau_ub=win.tau_ub,
-            alternate=alt,
-        )
+        return replace(win, branch=Branch.EQUAL_Q_BOTH, alternate=alt)
     if cert1 is not None:
         return cert1
     if cert2 is not None:

@@ -63,15 +63,14 @@ def _fmt(value: float) -> str:
     return f"{value:.6g}"
 
 
+def _write_columns(path: Path, header: str, *columns: np.ndarray) -> None:
+    np.savetxt(path, np.column_stack(columns), fmt="%.11e", delimiter=",",
+               header=header, comments="")
+
+
 def _write_csv(path: Path, times: np.ndarray, states: np.ndarray) -> None:
-    n = states.shape[1]
-    header = "t," + ",".join(f"x{i + 1}" for i in range(n))
-    lines = [header]
-    for k in range(len(times)):
-        row = [f"{times[k]:.11e}"] + [f"{states[k, i]:.11e}" for i in range(n)]
-        lines.append(",".join(row))
-    with open(path, "w", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+    header = "t," + ",".join(f"x{i + 1}" for i in range(states.shape[1]))
+    _write_columns(path, header, times, states)
 
 
 def _write_trajectory_plot(csv_path: Path, n_components: int) -> Path:
@@ -213,11 +212,7 @@ def cmd_b_curve(
             except OverflowRangeError:
                 values.append(float("inf"))
         csv_path = out_dir / f"{cfg.name}_alpha{alpha:g}_b.csv"
-        lines = ["lambda,B"]
-        for lam, val in zip(grid, values):
-            lines.append(f"{lam:.11e},{val:.11e}")
-        with open(csv_path, "w", newline="") as fh:
-            fh.write("\n".join(lines) + "\n")
+        _write_columns(csv_path, "lambda,B", grid, values)
         _write_b_curve_plot(csv_path, lam_m)
         print(f"alpha={alpha:g}: lambda_m = {_fmt(lam_m)}, B_min = {_fmt(cert.scalar.B_min)}")
         print(f"  wrote {csv_path} and {csv_path.with_suffix('.plot')}")

@@ -203,15 +203,21 @@ def test_threshold_insensitive_all_rows(robustness_deltas):
 
 
 # ---------------------------------------------------------------------------
-# predictor-only agreement
+# stop-rule ties
 
-def test_predictor_only_crossing_within_one_base_cell():
-    scenario = detection_scenario(3, 0.6)
+@pytest.mark.xfail(
+    reason="the stop rule compares |crossing - prev_crossing| with the coarse "
+    "step T/n in floating point; when the crossing moves by exactly one coarse "
+    "cell the two are equal in exact arithmetic, and the rounding of T/n "
+    "decides whether the ladder stops (3 levels at T, 4 at the next double)",
+    strict=True,
+)
+def test_stop_rule_ignores_last_bit_of_horizon():
+    scenario = detection_scenario(3, 0.9, base_n=512)
     spec = system_spec(scenario.params)
-    full = detect(spec, scenario.base_config, RefinementPolicy(scenario.budget))
-    pred = detect(spec, replace(scenario.base_config, corrector_enabled=False),
-                  RefinementPolicy(scenario.budget))
-    base_cell = scenario.base_config.T / scenario.base_config.N
-    assert isinstance(full, DetectionReport)
-    assert isinstance(pred, DetectionReport)
-    assert abs(full.t_num - pred.t_num) < base_cell
+    policy = RefinementPolicy(scenario.budget)
+    T = scenario.base_config.T
+    at_t = detect(spec, scenario.base_config, policy)
+    above = detect(spec, replace(scenario.base_config, T=float(np.nextafter(T, math.inf))),
+                   policy)
+    assert at_t.t_num == above.t_num

@@ -1,9 +1,14 @@
-"""Source hygiene: no module in the package imports a name it never uses.
+"""Source hygiene: no dead imports and no pass-through functions.
 
-Checked with the standard-library ast module, so it needs no linter. A
-name counts as used when the module reads it anywhere (including in
-annotations and as the base of an attribute access) or re-exports it
-through __all__. The package __init__ is skipped: it imports to export.
+Checked with the standard-library ast module, so it needs no linter.
+
+- No module in the package imports a name it never uses. A name counts
+  as used when the module reads it anywhere (including in annotations and
+  as the base of an attribute access) or re-exports it through __all__.
+  The package __init__ is skipped: it imports to export.
+- No package function only forwards its own parameters to another call
+  (`def f(a, b): return g(a, b)`): such a function is a second name for
+  one job, and the callers can call `g` directly.
 """
 
 from __future__ import annotations
@@ -46,3 +51,48 @@ def test_no_dead_imports(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     dead = sorted(imported_names(tree) - used_names(tree))
     assert not dead, f"{path.name} imports names it never uses: {dead}"
+
+
+def parameter_names(fn: ast.FunctionDef) -> list[str]:
+    args = fn.args
+    return [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs]
+
+
+def is_pass_through(fn: ast.FunctionDef) -> bool:
+    """True when fn's body, docstring aside, is `return g(<its parameters>)`."""
+    body = fn.body[1:] if ast.get_docstring(fn) is not None else fn.body
+    if len(body) != 1 or not isinstance(body[0], ast.Return):
+        return False
+    call = body[0].value
+    if not isinstance(call, ast.Call):
+        return False
+    passed = list(call.args) + [kw.value for kw in call.keywords]
+    if not all(isinstance(a, ast.Name) for a in passed):
+        return False
+    params = parameter_names(fn)
+    return bool(params) and sorted(a.id for a in passed) == sorted(params)
+
+
+def pass_through_functions(tree: ast.Module) -> list[str]:
+    return sorted(node.name for node in ast.walk(tree)
+                  if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                  and is_pass_through(node))
+
+
+def test_pass_through_detector():
+    tree = ast.parse(
+        "def fwd(a, b):\n    'doc'\n    return g(a, b)\n"
+        "def kw(a, *, b):\n    return g(b=b, a=a)\n"
+        "def partial(a, b):\n    return g(a)\n"
+        "def shifted(a):\n    return g(a, 1)\n"
+        "def computed(a):\n    return g(a + 1)\n"
+        "def no_args():\n    return g()\n"
+    )
+    assert pass_through_functions(tree) == ["fwd", "kw"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_pass_through_functions(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = pass_through_functions(tree)
+    assert not found, f"{path.name} has functions that only forward their parameters: {found}"
