@@ -37,6 +37,9 @@ _EXAMPLES = {
 # horizon margin over tau_ub; crossings land below tau_ub, so 5% headroom
 # keeps the soundness comparison meaningful without wasting grid points
 _HORIZON_MARGIN = 1.05
+# crossing threshold and ladder refinement budget of every scenario
+_THRESHOLD = 1e8
+_BUDGET = 5
 
 
 @dataclass(frozen=True)
@@ -71,25 +74,19 @@ def system_spec(params: PowerLawParams) -> SystemSpec:
                       initial_state=np.array([params.x0, params.y0]))
 
 
-def detection_scenario(
-    example: int,
-    alpha: float,
-    base_n: int = 4096,
-    threshold: float = 1e8,
-    budget: int = 5,
-) -> Scenario:
+def detection_scenario(example: int, alpha: float, base_n: int = 4096) -> Scenario:
     """Scenario with horizon slightly above the certified blow-up bound."""
     params = example_params(example, alpha)
     cert = theorem_bound(params)
     config = SolverConfig(
         T=_HORIZON_MARGIN * cert.tau_ub,
         N=base_n,
-        overflow_threshold=threshold,
+        overflow_threshold=_THRESHOLD,
     )
     return Scenario(
         name=f"{EXAMPLE_NAMES[example]}_alpha{alpha:g}",
         params=params,
         certificate=cert,
         base_config=config,
-        budget=budget,
+        budget=_BUDGET,
     )

@@ -249,11 +249,8 @@ def l1_caputo(samples: np.ndarray, alpha: float, h: float) -> np.ndarray:
     g = np.arange(1, m + 1, dtype=float) ** (1.0 - alpha)
     g = np.concatenate(([g[0]], g[1:] - g[:-1]))  # g[m] = (m+1)^(1-a) - m^(1-a)
     coef = h ** -alpha / gamma(2.0 - alpha)
-    if u.ndim == 1:
-        du = np.diff(u)
-        return coef * np.convolve(du, g)[:m]
-    out = np.empty((m, u.shape[1]))
-    for c in range(u.shape[1]):
-        du = np.diff(u[:, c])
-        out[:, c] = np.convolve(du, g)[:m]
-    return coef * out
+    du = np.diff(u.reshape(m + 1, -1), axis=0)
+    out = np.empty_like(du)
+    for c in range(du.shape[1]):
+        out[:, c] = np.convolve(du[:, c], g)[:m]
+    return (coef * out).reshape((m,) + u.shape[1:])

@@ -4,10 +4,12 @@ The Mittag-Leffler series is the accuracy-critical piece: for negative
 arguments it alternates with condition number ~ exp(|t|^(1/alpha)), so a
 plain double-precision Taylor sum silently loses everything well inside
 the argument ranges the rest of the package cares about. The series is
-therefore summed in compensated double-double arithmetic with a running
-error budget, and an evaluation either returns a value whose relative
-error is guaranteed below ~4e-11 or raises the non-convergence error
-family. No path returns a value without its guarantee.
+therefore summed in 36-digit decimal arithmetic (the standard decimal
+module, in a private context, so the caller's decimal settings never
+apply) with a running error budget, and an evaluation either returns a
+value whose relative error is guaranteed below ~4e-11 or raises the
+non-convergence error family. No path returns a value without its
+guarantee.
 
 Typical usable ranges on the negative axis (raise beyond): alpha=0.3 up
 to |t|~3, alpha=0.5 up to ~6, alpha=0.9 beyond 20. On the positive axis
@@ -19,8 +21,9 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from decimal import Context, Decimal, localcontext
+from fractions import Fraction
 
-from . import _ddouble as dd
 from .errors import DomainError, NonConvergenceError, OverflowRangeError, PrecisionLossError
 
 __all__ = [
@@ -39,13 +42,18 @@ _LN_MAX = math.log(sys.float_info.max)  # 709.78...
 # even if both sides sit at the guarantee.
 _REL_GUARANTEE = 4e-11
 
-# Per-unit-of-ln-magnitude relative error of one log-space term
-# evaluation (dd ln_gamma + dd exp). Measured worst case is ~4e-33;
-# 1e-31 keeps a 25x margin and is validated against an mpmath oracle
-# in the test suite.
+# Per-unit-of-ln-magnitude relative error charged to one log-space term
+# (36-digit ln_gamma, then exp); the unit count is |k ln|t|| + |ln G| + 8.
+# Measured worst case at 36 digits is ~6e-35 (3000 random terms against
+# mpmath), so 1e-31 leaves three decades. The companion charge
+# condsum * 2**-100 (~8e-31 of sum |T_k|) covers at most 400 additions
+# rounded at 5e-37 relative each. Both are wider than 36 digits need;
+# they fix where the guarantee fails, and the tests pin those points.
 _EPS_UNIT = 1e-31
 
-_LN_PI = dd.ln(dd.PI)
+_CTX = Context(prec=36)
+# pi to 60 digits; a Decimal literal is exact, arithmetic rounds to _CTX
+_PI = Decimal("3.14159265358979323846264338327950288419716939937510582097494")
 
 
 @dataclass(frozen=True)
@@ -193,59 +201,57 @@ def _evaluate(alpha: float, beta: float, t: float, policy: SeriesPolicy) -> tupl
             f"truncation test within {max_terms} terms"
         )
 
-    # Double-double summation in log space: T_k = s * exp(k ln|t| - ln G).
-    lnt = dd.ln(dd.dd(abs(t)))
-    total = (0.0, 0.0)
+    # Summation in log space at 36 digits: T_k = s * exp(k ln|t| - ln G).
+    # alpha k + beta is formed exactly, so the pole test is exact too.
+    frac_alpha, frac_beta = Fraction(alpha), Fraction(beta)
     condsum = 0.0
     errsum = 0.0
     consec = 0
     converged = False
     prev_abs = 0.0
     ratio = 0.0
-    for k in range(max_terms):
-        a = dd.add_d(dd.two_prod(alpha, float(k)), beta)
-        sign = -1.0 if (t < 0.0 and k % 2) else 1.0
-        if a[0] <= 0.0:  # normalized dd: the hi limb carries the sign
-            n = round(a[0])
-            if a[0] == n and a[1] == 0.0 and n <= 0:
+    with localcontext(_CTX):
+        lnt = Decimal(abs(t)).ln()
+        lnt_float = float(lnt)
+        total = Decimal(0)
+        for k in range(max_terms):
+            a = frac_alpha * k + frac_beta
+            negative = t < 0.0 and k % 2 == 1
+            if a > 0:
+                lg = _ln_gamma_hp(_dec(a))
+                ln_term = k * lnt - lg
+            elif a.denominator == 1:
                 continue  # pole: reciprocal gamma vanishes
-            # reflection: 1/Gamma(a) = Gamma(1-a) sin(pi a) / pi
-            spi = dd.sin_pi(a)
-            lg = dd.ln_gamma(dd.sub(dd.dd(1.0), a))
-            ln_term = dd.add(dd.mul_d(lnt, float(k)), lg)
-            ln_term = dd.add(ln_term, dd.ln(dd.abs_(spi)))
-            ln_term = dd.sub(ln_term, _LN_PI)
-            if spi[0] < 0.0:
-                sign = -sign
-        else:
-            lg = dd.ln_gamma(a)
-            ln_term = dd.sub(dd.mul_d(lnt, float(k)), lg)
-        if ln_term[0] > _LN_MAX - 5.0:
-            raise _raise_magnitude(t)
-        term = dd.exp_(ln_term)
-        abs_term = term[0] + term[1]
-        if sign < 0.0:
-            term = dd.neg(term)
-        total = dd.add(total, term)
-        condsum += abs_term
-        errsum += abs_term * (abs(k * lnt[0]) + abs(lg[0]) + 8.0)
-        if prev_abs > 0.0 and abs_term > 0.0:
-            ratio = abs_term / prev_abs
-        prev_abs = abs_term
-        if abs_term <= rel_tol * abs(total[0] + total[1]):
-            consec += 1
-            if consec == 2:
-                converged = True
-                break
-        else:
-            consec = 0
+            else:
+                # reflection: 1/Gamma(a) = Gamma(1-a) sin(pi a) / pi
+                spi = _sin_pi(a)
+                lg = _ln_gamma_hp(_dec(1 - a))
+                ln_term = k * lnt + lg + abs(spi).ln() - _LN_PI
+                negative ^= spi < 0
+            if float(ln_term) > _LN_MAX - 5.0:
+                raise _raise_magnitude(t)
+            term = ln_term.exp()
+            total += -term if negative else term
+            abs_term = float(term)
+            condsum += abs_term
+            errsum += abs_term * (abs(k * lnt_float) + abs(float(lg)) + 8.0)
+            if prev_abs > 0.0 and abs_term > 0.0:
+                ratio = abs_term / prev_abs
+            prev_abs = abs_term
+            if abs_term <= rel_tol * abs(float(total)):
+                consec += 1
+                if consec == 2:
+                    converged = True
+                    break
+            else:
+                consec = 0
     if not converged:
         raise NonConvergenceError(
             f"series for E_{{{alpha},{beta}}}({t}) did not meet the "
             f"truncation test within {max_terms} terms"
         )
 
-    value = total[0] + total[1]
+    value = float(total)
     abs_bound = errsum * _EPS_UNIT + condsum * 2.0 ** -100
     if abs(value) <= abs_bound:
         return value, math.inf
@@ -260,12 +266,13 @@ def _recip_gamma(b: float) -> float:
         return math.exp(-ln_gamma(b))
     if b == round(b):
         return 0.0
-    spi = dd.sin_pi(dd.dd(b))
-    lg = dd.ln_gamma(dd.dd(1.0 - b))
-    ln_mag = dd.to_float(lg) + math.log(abs(dd.to_float(spi))) - math.log(math.pi)
+    frac_b = Fraction(b)
+    with localcontext(_CTX):
+        spi = _sin_pi(frac_b)
+        ln_mag = float(_ln_gamma_hp(_dec(1 - frac_b)) + abs(spi).ln() - _LN_PI)
     if ln_mag > _LN_MAX:
         raise OverflowRangeError(f"1/gamma({b}) exceeds the double-precision range")
-    return math.copysign(math.exp(ln_mag), dd.to_float(spi))
+    return math.copysign(math.exp(ln_mag), float(spi))
 
 
 def e_alpha_kernel(alpha: float, lam: float, a: float, t: float, policy: SeriesPolicy = DEFAULT_POLICY) -> float:
@@ -282,3 +289,71 @@ def e_alpha_kernel(alpha: float, lam: float, a: float, t: float, policy: SeriesP
     gap = a - t
     arg = lam * gap ** alpha
     return gap ** (alpha - 1.0) * mittag_leffler(alpha, alpha, arg, policy)
+
+
+# ---------------------------------------------------------------------------
+# 36-digit helpers; call them inside localcontext(_CTX)
+
+def _dec(x: Fraction) -> Decimal:
+    return Decimal(x.numerator) / x.denominator
+
+
+def _sin_pi(x: Fraction) -> Decimal:
+    """sin(pi x) for an exact rational x, exactly zero at the integers."""
+    n = round(x)
+    u = _PI * _dec(x - n)  # |u| <= pi/2
+    u2 = -u * u
+    s = term = u
+    prev = None
+    m = 2
+    while s != prev:
+        prev = s
+        term *= u2 / (m * (m + 1))
+        s += term
+        m += 2
+    return -s if n % 2 else s
+
+
+def _bernoulli_even(count: int) -> list[Fraction]:
+    """B_2, B_4, ..., B_2count by the standard recurrence."""
+    out = []
+    b = [Fraction(1)]
+    for m in range(1, 2 * count + 1):
+        acc = sum(math.comb(m + 1, k) * b[k] for k in range(m))
+        b.append(-acc / (m + 1))
+        if m % 2 == 0:
+            out.append(b[m])
+    return out
+
+
+def _ln_gamma_hp(z: Decimal) -> Decimal:
+    """ln Gamma(z) for z > 0 at the working precision.
+
+    Stirling with exact-rational Bernoulli coefficients after shifting the
+    argument above 32; the truncated tail there is below 1e-40 absolute.
+    """
+    shift = 0
+    if z < _STIRLING_Z0:
+        m = math.ceil(_STIRLING_Z0 - z)
+        prod = z
+        for i in range(1, m):
+            prod *= z + i
+        shift = prod.ln()
+        z += m
+    w = 1 / (z * z)
+    s = 0
+    for c in reversed(_STIRLING_COEF):
+        s = s * w + c
+    return (z - _HALF) * z.ln() - z + _HALF_LN_2PI + s / z - shift
+
+
+_STIRLING_Z0 = 32
+_HALF = Decimal("0.5")
+with localcontext(_CTX):
+    _LN_PI = _PI.ln()
+    _HALF_LN_2PI = (2 * _PI).ln() / 2
+    # B_2n / (2n (2n-1))
+    _STIRLING_COEF = [
+        _dec(B / ((2 * n) * (2 * n - 1)))
+        for n, B in enumerate(_bernoulli_even(28), start=1)
+    ]

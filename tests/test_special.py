@@ -8,7 +8,10 @@ that silently widens or narrows the usable range fails loudly.
 
 from __future__ import annotations
 
+import decimal
 import math
+from decimal import Decimal
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -25,6 +28,7 @@ from fracburst import (
     ln_gamma,
     mittag_leffler,
 )
+from fracburst import special
 
 mpmath.mp.dps = 50
 
@@ -93,6 +97,10 @@ def test_gamma_recurrence():
         # frozen 50-digit oracle values
         (0.5, 1.0, -1.0, 0.4275835761558070),
         (0.5, 0.5, -1.0, 0.13660600739194928),
+        # 2 * 0.3 - 0.6 == 0 exactly in doubles: a pole at k = 2 from a
+        # non-integer alpha (mpmath rgamma series)
+        (0.3, -0.6, -1.0, -0.116696363386766),
+        (0.3, -0.6, 0.7, 0.371987368453063),
     ],
 )
 def test_mittag_leffler_values(alpha, beta, t, expected):
@@ -139,6 +147,65 @@ def test_mittag_leffler_domain_and_policy():
 def test_mittag_leffler_positive_overflow():
     with pytest.raises(NonConvergenceError):
         mittag_leffler(0.5, 1.0, 1e9)
+
+
+def outcome(fn, *args):
+    """The value fn returns, or the type of the guarantee error it raises."""
+    try:
+        return fn(*args)
+    except NonConvergenceError as exc:
+        return type(exc)
+
+
+def test_caller_decimal_context_is_ignored():
+    # the series runs in its own 36-digit context; a coarse, truncating,
+    # trapping caller context must change neither values nor raises
+    points = [(0.5, 1.0, -1.0), (0.3, -0.6, 0.7), (0.5, -0.5, 0.0),
+              (0.6, 2.0, -16.0), (0.4, 1.0, -4.5), (1.3, 1.0, 3.0)]
+    kernels = [(0.6, -2.0, 1.0, 0.25), (0.3, -0.5, 2.0, 1.5)]
+
+    def evaluate():
+        return ([outcome(mittag_leffler, *p) for p in points]
+                + [outcome(e_alpha_kernel, *k) for k in kernels])
+
+    expected = evaluate()
+    caller = decimal.Context(prec=5, rounding=decimal.ROUND_DOWN)
+    caller.traps[decimal.Inexact] = True
+    with decimal.localcontext(caller):
+        assert evaluate() == expected
+
+
+# ---------------------------------------------------------------------------
+# 36-digit helpers of the series, against a 50-digit oracle
+
+@pytest.mark.parametrize(
+    "x", [0.05, 0.1, 0.5, 1.0, 1.5, 2.0, 3.7, 10.0, 31.9, 32.0, 33.0, 171.0, 1e4]
+)
+def test_ln_gamma_hp_against_mpmath(x):
+    with decimal.localcontext(special._CTX):
+        v = mpmath.mpf(str(special._ln_gamma_hp(Decimal(x))))
+    exact = mpmath.loggamma(x)
+    # lnGamma vanishes at 1 and 2, so measure against max(1, |value|)
+    assert float(abs(v - exact)) <= 1e-28 * max(1.0, float(abs(exact)))
+
+
+@pytest.mark.parametrize(
+    "x,exact",
+    [
+        (0.5, 1.0),
+        (1.0, 0.0),
+        (0.25, None),
+        (1.75, None),
+        (2.0, 0.0),
+        (-0.5, -1.0),
+        (1e6, 0.0),
+    ],
+)
+def test_sin_pi(x, exact):
+    with decimal.localcontext(special._CTX):
+        v = mpmath.mpf(str(special._sin_pi(Fraction(x))))
+    ref = mpmath.sin(mpmath.pi * mpmath.mpf(x)) if exact is None else mpmath.mpf(exact)
+    assert float(abs(v - ref)) <= 1e-31
 
 
 # ---------------------------------------------------------------------------
