@@ -179,7 +179,9 @@ def test_caller_decimal_context_is_ignored():
 # 36-digit helpers of the series, against a 50-digit oracle
 
 @pytest.mark.parametrize(
-    "x", [0.05, 0.1, 0.5, 1.0, 1.5, 2.0, 3.7, 10.0, 31.9, 32.0, 33.0, 171.0, 1e4]
+    "x",
+    [0.05, 0.1, 0.5, 1.0, 1.5, 2.0, 3.7, 10.0, 31.9, 32.0, 33.0, 171.0, 1e4,
+     2.5e-5, 1e-3, 0.999, 7.5, 64.0, 1e8],
 )
 def test_ln_gamma_hp_against_mpmath(x):
     with decimal.localcontext(special._CTX):
@@ -199,6 +201,13 @@ def test_ln_gamma_hp_against_mpmath(x):
         (2.0, 0.0),
         (-0.5, -1.0),
         (1e6, 0.0),
+        (1 / 3, None),
+        (-7 / 6, None),
+        (-0.3, None),
+        (2.5, 1.0),
+        (-1.5, 1.0),
+        (123456.75, None),
+        (1e15 + 0.5, 1.0),
     ],
 )
 def test_sin_pi(x, exact):
@@ -206,6 +215,93 @@ def test_sin_pi(x, exact):
         v = mpmath.mpf(str(special._sin_pi(Fraction(x))))
     ref = mpmath.sin(mpmath.pi * mpmath.mpf(x)) if exact is None else mpmath.mpf(exact)
     assert float(abs(v - ref)) <= 1e-31
+
+
+def test_decimal_constants():
+    assert float(abs(mpmath.mpf(str(special._PI)) - mpmath.pi)) <= 1e-58
+    assert float(abs(mpmath.mpf(str(special._LN_PI)) - mpmath.log(mpmath.pi))) <= 1e-35
+    half_ln_2pi = mpmath.log(2 * mpmath.pi) / 2
+    assert float(abs(mpmath.mpf(str(special._HALF_LN_2PI)) - half_ln_2pi)) <= 1e-35
+
+
+def test_stirling_bernoulli_numbers():
+    got = special._bernoulli_even(28)
+    assert got[:4] == [Fraction(1, 6), Fraction(-1, 30), Fraction(1, 42), Fraction(-1, 30)]
+    for n, b in enumerate(got, start=1):
+        num, den = mpmath.bernfrac(2 * n)
+        assert b == Fraction(int(num), int(den))
+
+
+def series_term(alpha, beta, t, k):
+    """|T_k| of E_{alpha,beta}(t) with the arithmetic of special._evaluate.
+
+    Returns the 36-digit term, the exact Gamma argument and the unit count
+    that the error budget charges for it.
+    """
+    a = Fraction(alpha) * k + Fraction(beta)
+    with decimal.localcontext(special._CTX):
+        lnt = Decimal(abs(t)).ln()
+        if a > 0:
+            lg = special._ln_gamma_hp(special._dec(a))
+            ln_term = k * lnt - lg
+        else:
+            spi = special._sin_pi(a)
+            lg = special._ln_gamma_hp(special._dec(1 - a))
+            ln_term = k * lnt + lg + abs(spi).ln() - special._LN_PI
+        term = ln_term.exp()
+    return term, a, abs(k * float(lnt)) + abs(float(lg)) + 8.0
+
+
+@pytest.mark.parametrize(
+    "alpha,beta,t,k",
+    [
+        (0.5, 1.0, -6.0, 40),
+        (0.3, 1.0, -3.0, 150),
+        (0.9, 1.0, -20.0, 200),
+        (0.1, 1.0, 1.0, 5),
+        (1.5, 1.0, 1e3, 100),
+        (0.05, 0.05, 1e-3, 3),
+        (0.6, 2.0, -16.0, 120),
+        (0.4, -1.3, -4.5, 399),
+        # negative Gamma arguments: the reflection branch
+        (0.3, -0.6, -1.0, 1),
+        (0.3, -3.0, 2.0, 3),
+        (0.7, -5.0, 0.5, 4),
+    ],
+)
+def test_series_term_within_error_budget(alpha, beta, t, k):
+    # the guarantee charges each term _EPS_UNIT per unit of ln-magnitude;
+    # the 36-digit arithmetic must sit well inside that (measured ~6e-35)
+    term, a, units = series_term(alpha, beta, t, k)
+    exact = abs(mpmath.mpf(t) ** k * mpmath.rgamma(mpmath.mpf(a.numerator) / a.denominator))
+    rel = float(abs(mpmath.mpf(str(term)) - exact) / exact)
+    assert rel <= 1e-2 * special._EPS_UNIT * units
+
+
+@pytest.mark.parametrize(
+    "b",
+    [0.5, 1.0, 2.5, 10.0, 170.5,
+     -0.5, -1.5, -2.3, -0.6, -0.999, -10.7, -33.2, -100.25],
+)
+def test_recip_gamma_against_mpmath(b):
+    exact = mpmath.rgamma(mpmath.mpf(b))
+    ln_mag = float(abs(mpmath.log(abs(exact))))
+    rel = float(abs((special._recip_gamma(b) - exact) / exact))
+    # b > 0 inherits the 1e-13 contract of ln_gamma; the reflection is
+    # formed at 36 digits and rounded once, through a double exp
+    unit = 1e-13 if b > 0 else 1e-15
+    assert rel <= unit * max(1.0, ln_mag)
+
+
+@pytest.mark.parametrize("b", [0.0, -1.0, -5.0])
+def test_recip_gamma_poles(b):
+    assert special._recip_gamma(b) == 0.0
+
+
+def test_recip_gamma_overflow():
+    assert math.isfinite(special._recip_gamma(-170.5))
+    with pytest.raises(OverflowRangeError):
+        special._recip_gamma(-200.5)
 
 
 # ---------------------------------------------------------------------------
