@@ -1,9 +1,12 @@
 """Numerical blow-up time extraction by threshold crossing and grid doubling.
 
 The crossing time is the first grid point where the component-magnitude sum
-exceeds the configured overflow threshold. The grid is doubled until two
-successive crossing times agree to within the coarser step or the refinement
-budget runs out; the finest crossing and its step size are reported.
+exceeds the configured overflow threshold. The grid is doubled until the
+crossing settles to within one coarse cell or the refinement budget runs
+out; the finest crossing and its step size are reported. The stop test
+compares integer grid indices, never float times: the crossing index k on
+N points against k' on N/2 points stops the ladder when |k - 2k'| <= 2,
+so the rounding of T/N cannot decide it.
 Every result also carries the finest level's trajectory, so a caller that
 wants the trajectory itself need not solve that grid again.
 """
@@ -58,16 +61,21 @@ class NoCrossing:
 DetectionResult = Union[DetectionReport, NoCrossing]
 
 
-def crossing_time(trajectory: Trajectory, threshold: float) -> Optional[float]:
-    """First grid time where sum_i |x_i| exceeds threshold, None if never."""
-    sums = np.abs(trajectory.states).sum(axis=1)
-    hit = sums > threshold
+def _crossing_index(trajectory: Trajectory, threshold: float) -> Optional[int]:
+    """First grid index where sum_i |x_i| exceeds threshold, None if never."""
+    hit = np.abs(trajectory.states).sum(axis=1) > threshold
     if not np.any(hit):
         return None
     k = int(np.argmax(hit))
     if k == 0:
         raise DomainError("initial state already exceeds the detection threshold")
-    return float(trajectory.times[k])
+    return k
+
+
+def crossing_time(trajectory: Trajectory, threshold: float) -> Optional[float]:
+    """First grid time where sum_i |x_i| exceeds threshold, None if never."""
+    k = _crossing_index(trajectory, threshold)
+    return None if k is None else float(trajectory.times[k])
 
 
 def detect(
@@ -77,33 +85,29 @@ def detect(
 ) -> DetectionResult:
     """Estimate the blow-up time of spec's system on [0, T].
 
-    Runs solve at N, 2N, 4N, ... and stops once two successive crossing
-    times differ by less than the coarser run's step size. A completed
-    finest run with no crossing yields NoCrossing rather than an error.
+    Runs solve at N, 2N, 4N, ... and stops once the crossing moves by at
+    most one coarse cell: with crossing index k on the finer grid and k'
+    on the coarser one, when |k - 2k'| <= 2 (inclusive, compared as
+    integers). A completed finest run with no crossing yields NoCrossing
+    rather than an error.
     """
     threshold = base_config.overflow_threshold
     runs: list[tuple[int, Optional[float]]] = []
-    prev_crossing: Optional[float] = None
+    prev_k: Optional[int] = None
+    converged = False
     crossing = None
     trajectory = None
 
     for level in range(policy.budget + 1):
         n = base_config.N * 2 ** level
-        config = replace(base_config, N=n)
-        trajectory = solve(spec, config)
-        crossing = crossing_time(trajectory, threshold)
+        trajectory = solve(spec, replace(base_config, N=n))
+        k = _crossing_index(trajectory, threshold)
+        crossing = None if k is None else float(trajectory.times[k])
         runs.append((n, crossing))
-        if crossing is not None and prev_crossing is not None:
-            coarser_h = base_config.T / (n // 2)
-            if abs(crossing - prev_crossing) < coarser_h:
-                return DetectionReport(
-                    t_num=crossing,
-                    uncertainty=base_config.T / n,
-                    runs=tuple(runs),
-                    converged=True,
-                    trajectory=trajectory,
-                )
-        prev_crossing = crossing
+        if k is not None and prev_k is not None and abs(k - 2 * prev_k) <= 2:
+            converged = True
+            break
+        prev_k = k
 
     if crossing is None:
         if isinstance(trajectory.status, NonFinite):
@@ -121,6 +125,6 @@ def detect(
         t_num=crossing,
         uncertainty=base_config.T / runs[-1][0],
         runs=tuple(runs),
-        converged=False,
+        converged=converged,
         trajectory=trajectory,
     )

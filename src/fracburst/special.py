@@ -73,54 +73,31 @@ class SeriesPolicy:
 DEFAULT_POLICY = SeriesPolicy()
 
 
-# Lanczos-type rational approximation, g = 671/128, 14 terms. With the
-# leading constant below this is accurate to ~1e-15 relative over the
-# whole positive axis; the 1e-13 contract leaves margin.
-_LANCZOS_COF = (
-    57.1562356658629235,
-    -59.5979603554754912,
-    14.1360979747417471,
-    -0.491913816097620199,
-    0.339946499848118887e-4,
-    0.465236289270485756e-4,
-    -0.983744753048795646e-4,
-    0.158088703224912494e-3,
-    -0.210264441724104883e-3,
-    0.217439618115212643e-3,
-    -0.164318106536763890e-3,
-    0.844182239838527433e-4,
-    -0.261908384015814087e-4,
-    0.368991826595316234e-5,
-)
-
-
 def ln_gamma(x: float) -> float:
     """ln Gamma(x) for x > 0.
 
     Relative error is at most 1e-13 on [1e-6, 1e6], measured against
     max(1, |ln Gamma|) since ln Gamma vanishes at x = 1 and x = 2 where
     a strict relative bound is meaningless for any fixed-precision
-    arithmetic.
+    arithmetic. Non-positive, infinite or NaN x raises DomainError.
     """
-    x = float(x)
-    if not (x > 0.0) or math.isinf(x):
-        raise DomainError(f"ln_gamma requires finite x > 0, got {x}")
-    tmp = x + 5.2421875
-    tmp = (x + 0.5) * math.log(tmp) - tmp
-    ser = 0.999999999999997092
-    for j, c in enumerate(_LANCZOS_COF):
-        ser += c / (x + 1.0 + j)
-    return tmp + math.log(2.5066282746310005 * ser / x)
+    return math.lgamma(_positive("ln_gamma", x))
 
 
 def gamma(x: float) -> float:
     """Gamma(x) for x > 0; overflow raises instead of returning inf."""
-    lg = ln_gamma(x)
-    if lg > _LN_MAX:
-        raise OverflowRangeError(
-            f"gamma({x}) exceeds the double-precision range (ln value {lg:.2f})"
-        )
-    return math.exp(lg)
+    x = _positive("gamma", x)
+    try:
+        return math.gamma(x)
+    except OverflowError:
+        raise OverflowRangeError(f"gamma({x}) exceeds the double-precision range") from None
+
+
+def _positive(name: str, x: float) -> float:
+    x = float(x)
+    if not (x > 0.0) or math.isinf(x):
+        raise DomainError(f"{name} requires finite x > 0, got {x}")
+    return x
 
 
 def mittag_leffler(alpha: float, beta: float, t: float, policy: SeriesPolicy = DEFAULT_POLICY) -> float:
@@ -245,14 +222,20 @@ def _evaluate(alpha: float, beta: float, t: float, policy: SeriesPolicy) -> tupl
                     break
             else:
                 consec = 0
+    value = float(total)
+    abs_bound = errsum * _EPS_UNIT + condsum * 2.0 ** -100
     if not converged:
+        # when cancellation already spends the guarantee, that is the
+        # real limit: more terms could not rescue the sum
+        if abs_bound > _REL_GUARANTEE * abs(value):
+            raise PrecisionLossError(
+                f"E_{{{alpha},{beta}}}({t}): cancellation exceeds the "
+                f"{_REL_GUARANTEE:.0e} contract before the {max_terms}-term cap"
+            )
         raise NonConvergenceError(
             f"series for E_{{{alpha},{beta}}}({t}) did not meet the "
             f"truncation test within {max_terms} terms"
         )
-
-    value = float(total)
-    abs_bound = errsum * _EPS_UNIT + condsum * 2.0 ** -100
     if abs(value) <= abs_bound:
         return value, math.inf
     # discarded tail, bounded by a geometric extension of the last ratio

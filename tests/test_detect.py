@@ -44,6 +44,14 @@ TNUM_FROZEN = {
     (3, 0.9): 0.406296,
 }
 
+# ladder levels on the same default ladder: how many grids each row
+# solves before the crossing settles or the budget runs out
+LEVELS_FROZEN = {
+    (1, 0.1): 6, (1, 0.4): 6, (1, 0.6): 6, (1, 0.9): 4,
+    (2, 0.1): 6, (2, 0.4): 3, (2, 0.6): 2, (2, 0.9): 2,
+    (3, 0.1): 6, (3, 0.4): 6, (3, 0.6): 6, (3, 0.9): 2,
+}
+
 ROBUST_ROWS = [(1, 0.1), (1, 0.4), (1, 0.6),
                (3, 0.1), (3, 0.4), (3, 0.6), (3, 0.9)]
 
@@ -51,6 +59,11 @@ ROBUST_ROWS = [(1, 0.1), (1, 0.4), (1, 0.6),
 def scalar_spec(alpha, rhs, u0=1.0):
     return SystemSpec(alpha=alpha, dimension=1, rhs=rhs,
                       initial_state=np.array([u0]))
+
+
+def grid_index(crossing, n, T):
+    # grid times are k*h exactly with h = T/n, so rounding recovers k
+    return round(crossing * n / T)
 
 
 def assert_finest_trajectory(result, spec, base_config):
@@ -137,8 +150,9 @@ def test_report_fields_agree_with_history(detection_rows):
         assert report.t_num == report.runs[-1][1]
         assert report.uncertainty == T / ns[-1]
         if report.converged:
-            c_prev, c_last = report.runs[-2][1], report.runs[-1][1]
-            assert abs(c_last - c_prev) < T / ns[-2]
+            (n_prev, c_prev), (n_last, c_last) = report.runs[-2:]
+            k_prev, k_last = grid_index(c_prev, n_prev, T), grid_index(c_last, n_last, T)
+            assert abs(k_last - 2 * k_prev) <= 2
         else:
             assert len(report.runs) == scenario.budget + 1
 
@@ -166,6 +180,12 @@ def test_detected_times_match_frozen_regression(detection_rows):
     for key, (scenario, report) in rows.items():
         frozen = TNUM_FROZEN[key]
         assert report.t_num == pytest.approx(frozen, rel=5e-3), key
+
+
+def test_ladder_levels_match_frozen_regression(detection_rows):
+    rows, _ = detection_rows
+    levels = {key: len(report.runs) for key, (_, report) in rows.items()}
+    assert levels == LEVELS_FROZEN
 
 
 @pytest.mark.parametrize(
@@ -205,19 +225,18 @@ def test_threshold_insensitive_all_rows(robustness_deltas):
 # ---------------------------------------------------------------------------
 # stop-rule ties
 
-@pytest.mark.xfail(
-    reason="the stop rule compares |crossing - prev_crossing| with the coarse "
-    "step T/n in floating point; when the crossing moves by exactly one coarse "
-    "cell the two are equal in exact arithmetic, and the rounding of T/n "
-    "decides whether the ladder stops (3 levels at T, 4 at the next double)",
-    strict=True,
-)
 def test_stop_rule_ignores_last_bit_of_horizon():
+    # this row stops on a one-coarse-cell move, which in float times is a
+    # tie between |crossing - prev_crossing| and T/n; one ulp more of T
+    # must give the same levels and the same crossing index at each level
     scenario = detection_scenario(3, 0.9, base_n=512)
     spec = system_spec(scenario.params)
     policy = RefinementPolicy(scenario.budget)
     T = scenario.base_config.T
+    T_up = float(np.nextafter(T, math.inf))
     at_t = detect(spec, scenario.base_config, policy)
-    above = detect(spec, replace(scenario.base_config, T=float(np.nextafter(T, math.inf))),
-                   policy)
-    assert at_t.t_num == above.t_num
+    above = detect(spec, replace(scenario.base_config, T=T_up), policy)
+    assert [n for n, _ in above.runs] == [n for n, _ in at_t.runs]
+    assert ([grid_index(c, n, T_up) for n, c in above.runs]
+            == [grid_index(c, n, T) for n, c in at_t.runs])
+    assert above.t_num == pytest.approx(at_t.t_num, rel=1e-15)

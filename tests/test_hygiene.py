@@ -9,6 +9,9 @@ Checked with the standard-library ast module, so it needs no linter.
 - No package function only forwards its own parameters to another call
   (`def f(a, b): return g(a, b)`): such a function is a second name for
   one job, and the callers can call `g` directly.
+- No module-level private name (`_name` bound by a def, a class or an
+  assignment) goes unread by every package module. A stale helper or
+  table that nothing reads any more is dead code.
 """
 
 from __future__ import annotations
@@ -19,7 +22,8 @@ from pathlib import Path
 import pytest
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "fracburst"
-MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+ALL_MODULES = sorted(PACKAGE.glob("*.py"))
+MODULES = [p for p in ALL_MODULES if p.name != "__init__.py"]
 
 
 def imported_names(tree: ast.Module) -> set[str]:
@@ -96,3 +100,63 @@ def test_no_pass_through_functions(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     found = pass_through_functions(tree)
     assert not found, f"{path.name} has functions that only forward their parameters: {found}"
+
+
+def module_level_private_names(tree: ast.Module) -> set[str]:
+    """`_name`s bound at module level, also inside module-level if/with/try."""
+    names = set()
+    stack = list(tree.body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+            continue
+        if isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name))
+        for field in ("body", "orelse", "finalbody", "handlers"):
+            stack.extend(getattr(node, field, []))
+    return {n for n in names if n.startswith("_") and not n.startswith("__")}
+
+
+def read_names(tree: ast.Module) -> set[str]:
+    """Names the module reads: loads and attribute names."""
+    read = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+    return read
+
+
+def unread_private_names(trees: list[ast.Module]) -> list[str]:
+    read = set().union(*(read_names(t) for t in trees))
+    bound = set().union(*(module_level_private_names(t) for t in trees))
+    return sorted(bound - read)
+
+
+def test_unread_private_name_detector():
+    used = ast.parse(
+        "from .b import _shared\n"
+        "def f():\n    return _shared + _TABLE[0] + _helper()\n"
+    )
+    defining = ast.parse(
+        "_TABLE = (1, 2)\n"
+        "_STALE = (3, 4)\n"
+        "_shared = 1\n"
+        "def _helper():\n    return 0\n"
+        "def _orphan():\n    return _orphan_data\n"
+        "class _Gone:\n    pass\n"
+        "if True:\n    _nested = 5\n"
+        "with ctx:\n    _in_with = 6\n"
+        "__all__ = []\n"
+    )
+    assert unread_private_names([used, defining]) == [
+        "_Gone", "_STALE", "_in_with", "_nested", "_orphan"]
+
+
+def test_no_unread_private_names():
+    trees = [ast.parse(p.read_text(), filename=str(p)) for p in ALL_MODULES]
+    unread = unread_private_names(trees)
+    assert not unread, f"module-level private names no package module reads: {unread}"

@@ -53,7 +53,8 @@ def test_ln_gamma_zeros():
     assert abs(ln_gamma(2.0)) <= 1e-13
 
 
-@pytest.mark.parametrize("x", [1e-6, 0.1, 0.5, 1.5, 3.0, 10.0, 171.0, 1e4, 1e6])
+@pytest.mark.parametrize("x", [1e-6, 0.1, 0.5, 0.999, 1.001, 1.5, 1.999, 2.001,
+                               2.5, 3.0, 10.0, 100.5, 171.0, 1e4, 1e6])
 def test_ln_gamma_against_mpmath(x):
     exact = float(mpmath.loggamma(x))
     assert abs(ln_gamma(x) - exact) <= 1e-13 * max(1.0, abs(exact))
@@ -73,6 +74,10 @@ def test_gamma_overflow_boundary():
     # Gamma(171) ~ 7.26e306 is still a double; 172 is the first overflow
     assert math.isfinite(gamma(171.0))
     assert gamma(171.0) == pytest.approx(7.257415615307999e306, rel=1e-12)
+    # the double range ends at x = 171.6243...
+    assert math.isfinite(gamma(171.62))
+    with pytest.raises(OverflowRangeError):
+        gamma(171.63)
     with pytest.raises(OverflowRangeError):
         gamma(172.0)
 
@@ -327,12 +332,21 @@ def test_negative_axis_raise_boundary(alpha, last_ok, raise_type):
             mittag_leffler(alpha, 1.0, -(last_ok + 0.5))
 
 
-def test_raise_is_precision_loss_subclass():
+@pytest.mark.parametrize(
+    "alpha,beta,t",
+    [
+        (0.4, 1.0, -4.5),
+        # the term cap fires here before the truncation test passes, but
+        # cancellation has already spent the guarantee by then
+        (0.6, 1.0, -13.5),
+    ],
+)
+def test_raise_is_precision_loss_subclass(alpha, beta, t):
     # the cancellation raise must be catchable as the generic family too
     with pytest.raises(NonConvergenceError):
-        mittag_leffler(0.4, 1.0, -4.5)
+        mittag_leffler(alpha, beta, t)
     with pytest.raises(PrecisionLossError):
-        mittag_leffler(0.4, 1.0, -4.5)
+        mittag_leffler(alpha, beta, t)
 
 
 # ---------------------------------------------------------------------------
