@@ -64,7 +64,7 @@ from .solver import (
     predictor_weight_b,
     solve,
 )
-from .special import SeriesPolicy, e_alpha_kernel, gamma, ln_gamma, mittag_leffler
+from .special import e_alpha_kernel, gamma, ln_gamma, mittag_leffler
 
 __version__ = "0.1.0"
 
@@ -95,7 +95,6 @@ __all__ = [
     "ScalarBoundResult",
     "Scenario",
     "ScenarioConfig",
-    "SeriesPolicy",
     "SolverConfig",
     "Status",
     "SystemSpec",

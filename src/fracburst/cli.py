@@ -73,37 +73,25 @@ def _write_csv(path: Path, times: np.ndarray, states: np.ndarray) -> None:
     _write_columns(path, header, times, states)
 
 
-def _write_trajectory_plot(csv_path: Path, n_components: int) -> Path:
-    plot_path = csv_path.with_suffix(".plot")
+def _write_plot(csv_path: Path, xlabel: str, n_series: int, *extra: str) -> None:
+    """Write csv_path.plot: gnuplot draws columns 2 to n_series + 1 against 1.
+
+    The extra commands go before the plot line.
+    """
     series = ", ".join(
         [f"'{csv_path.name}' using 1:2 with lines"]
-        + [f"'' using 1:{i + 2} with lines" for i in range(1, n_components)]
+        + [f"'' using 1:{i + 2} with lines" for i in range(1, n_series)]
     )
     script = "\n".join([
         "set datafile separator ','",
         "set key autotitle columnhead",
-        "set xlabel 't'",
+        f"set xlabel '{xlabel}'",
+        *extra,
         f"plot {series}",
         "",
     ])
-    with open(plot_path, "w", newline="") as fh:
+    with open(csv_path.with_suffix(".plot"), "w", newline="") as fh:
         fh.write(script)
-    return plot_path
-
-
-def _write_b_curve_plot(csv_path: Path, lambda_m: float) -> Path:
-    plot_path = csv_path.with_suffix(".plot")
-    script = "\n".join([
-        "set datafile separator ','",
-        "set key autotitle columnhead",
-        "set xlabel 'lambda'",
-        f"set arrow from {lambda_m:.11e}, graph 0 to {lambda_m:.11e}, graph 1 nohead dashtype 2",
-        f"plot '{csv_path.name}' using 1:2 with lines",
-        "",
-    ])
-    with open(plot_path, "w", newline="") as fh:
-        fh.write(script)
-    return plot_path
 
 
 def _print_certificate(cert: BoundCertificate) -> None:
@@ -156,7 +144,7 @@ def cmd_solve(cfg: ScenarioConfig, out_dir: Path = Path(".")) -> int:
         trajectory = solve(system_spec(_params(cfg, alpha)), solver_cfg)
         csv_path = out_dir / f"{cfg.name}_alpha{alpha:g}.csv"
         _write_csv(csv_path, trajectory.times, trajectory.states)
-        _write_trajectory_plot(csv_path, trajectory.states.shape[1])
+        _write_plot(csv_path, "t", trajectory.states.shape[1])
         print(_status_line(alpha, trajectory))
         print(f"  wrote {csv_path} and {csv_path.with_suffix('.plot')}")
     return EXIT_OK
@@ -213,7 +201,9 @@ def cmd_b_curve(
                 values.append(float("inf"))
         csv_path = out_dir / f"{cfg.name}_alpha{alpha:g}_b.csv"
         _write_columns(csv_path, "lambda,B", grid, values)
-        _write_b_curve_plot(csv_path, lam_m)
+        _write_plot(csv_path, "lambda", 1,
+                    f"set arrow from {lam_m:.11e}, graph 0 to {lam_m:.11e}, "
+                    "graph 1 nohead dashtype 2")
         print(f"alpha={alpha:g}: lambda_m = {_fmt(lam_m)}, B_min = {_fmt(cert.scalar.B_min)}")
         print(f"  wrote {csv_path} and {csv_path.with_suffix('.plot')}")
     return code
@@ -250,7 +240,7 @@ def _reproduce_row(example: int, alpha: float, base_n: int, out_dir: Path) -> _R
         trajectory = result.trajectory
         csv_path = out_dir / f"{scenario.name}.csv"
         _write_csv(csv_path, trajectory.times, trajectory.states)
-        _write_trajectory_plot(csv_path, trajectory.states.shape[1])
+        _write_plot(csv_path, "t", trajectory.states.shape[1])
     except FracburstError as exc:
         row.error = f"{type(exc).__name__}: {exc}"
     return row

@@ -4,12 +4,13 @@ The Mittag-Leffler series is the accuracy-critical piece: for negative
 arguments it alternates with condition number ~ exp(|t|^(1/alpha)), so a
 plain double-precision Taylor sum silently loses everything well inside
 the argument ranges the rest of the package cares about. The series is
-therefore summed in 36-digit decimal arithmetic (the standard decimal
-module, in a private context, so the caller's decimal settings never
-apply) with a running error budget, and an evaluation either returns a
-value whose relative error is guaranteed below ~4e-11 or raises the
-non-convergence error family. No path returns a value without its
-guarantee.
+therefore summed once, in 36-digit decimal arithmetic (the standard
+decimal module, in a private context, so the caller's decimal settings
+never apply), with a running error budget and fixed truncation: stop
+below 1e-15 of the partial sum, give up after 400 terms. An evaluation
+either returns a value whose relative error is guaranteed below ~4e-11
+or raises the non-convergence error family. No path returns a value
+without its guarantee.
 
 Typical usable ranges on the negative axis (raise beyond): alpha=0.3 up
 to |t|~3, alpha=0.5 up to ~6, alpha=0.9 beyond 20. On the positive axis
@@ -20,15 +21,13 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from decimal import Context, Decimal, localcontext
 from fractions import Fraction
+from typing import Optional
 
 from .errors import DomainError, NonConvergenceError, OverflowRangeError, PrecisionLossError
 
 __all__ = [
-    "SeriesPolicy",
-    "DEFAULT_POLICY",
     "ln_gamma",
     "gamma",
     "mittag_leffler",
@@ -36,6 +35,11 @@ __all__ = [
 ]
 
 _LN_MAX = math.log(sys.float_info.max)  # 709.78...
+
+# Series truncation: stop once two consecutive non-pole terms fall below
+# _REL_TOL of the partial sum; raise after _MAX_TERMS terms.
+_REL_TOL = 1e-15
+_MAX_TERMS = 400
 
 # Guaranteed relative accuracy of every returned Mittag-Leffler value.
 # Chosen so that identities combining two evaluations stay below 1e-10
@@ -45,8 +49,8 @@ _REL_GUARANTEE = 4e-11
 # Per-unit-of-ln-magnitude relative error charged to one log-space term
 # (36-digit ln_gamma, then exp); the unit count is |k ln|t|| + |ln G| + 8.
 # Measured worst case at 36 digits is ~6e-35 (3000 random terms against
-# mpmath), so 1e-31 leaves three decades. The companion charge
-# condsum * 2**-100 (~8e-31 of sum |T_k|) covers at most 400 additions
+# mpmath), so 1e-31 leaves three decades. The companion charge of
+# 2**-100 (~8e-31) of sum |T_k| covers at most 400 additions
 # rounded at 5e-37 relative each. Both are wider than 36 digits need;
 # they fix where the guarantee fails, and the tests pin those points.
 _EPS_UNIT = 1e-31
@@ -54,23 +58,6 @@ _EPS_UNIT = 1e-31
 _CTX = Context(prec=36)
 # pi to 60 digits; a Decimal literal is exact, arithmetic rounds to _CTX
 _PI = Decimal("3.14159265358979323846264338327950288419716939937510582097494")
-
-
-@dataclass(frozen=True)
-class SeriesPolicy:
-    """Truncation control for the Mittag-Leffler series."""
-
-    rel_tol: float = 1e-15
-    max_terms: int = 400
-
-    def __post_init__(self):
-        if not (0.0 < self.rel_tol < 1.0):
-            raise ValueError(f"rel_tol must be in (0, 1), got {self.rel_tol}")
-        if not isinstance(self.max_terms, int) or self.max_terms < 16:
-            raise ValueError(f"max_terms must be an integer >= 16, got {self.max_terms}")
-
-
-DEFAULT_POLICY = SeriesPolicy()
 
 
 def ln_gamma(x: float) -> float:
@@ -100,13 +87,14 @@ def _positive(name: str, x: float) -> float:
     return x
 
 
-def mittag_leffler(alpha: float, beta: float, t: float, policy: SeriesPolicy = DEFAULT_POLICY) -> float:
+def mittag_leffler(alpha: float, beta: float, t: float) -> float:
     """E_{alpha,beta}(t) = sum_k t^k / Gamma(alpha k + beta).
 
-    Direct Taylor summation with the truncation rule: stop once the term
-    magnitude falls below rel_tol * |partial sum| for two consecutive
-    non-pole terms. Terms whose Gamma argument is a non-positive integer
-    contribute zero and do not count toward the truncation test.
+    One 36-digit Taylor summation with fixed truncation: stop once the
+    term magnitude falls below 1e-15 of |partial sum| for two consecutive
+    non-pole terms, give up after 400 terms. Terms whose Gamma argument
+    is a non-positive integer contribute zero and do not count toward the
+    truncation test.
 
     Raises NonConvergenceError when the cap is hit (or when partial sums
     would leave the double range), and its PrecisionLossError subclass
@@ -119,9 +107,7 @@ def mittag_leffler(alpha: float, beta: float, t: float, policy: SeriesPolicy = D
         raise DomainError(f"mittag_leffler requires alpha > 0, got {alpha}")
     if not math.isfinite(beta) or not math.isfinite(t):
         raise DomainError("mittag_leffler requires finite beta and t")
-    if not isinstance(policy, SeriesPolicy):
-        raise TypeError("policy must be a SeriesPolicy")
-    value, rel_bound = _evaluate(alpha, beta, t, policy)
+    value, rel_bound = _evaluate(alpha, beta, t)
     if rel_bound > _REL_GUARANTEE:
         raise PrecisionLossError(
             f"E_{{{alpha},{beta}}}({t}): cancellation leaves a guaranteed "
@@ -143,43 +129,16 @@ def _raise_magnitude(t: float) -> NonConvergenceError:
     )
 
 
-def _evaluate(alpha: float, beta: float, t: float, policy: SeriesPolicy) -> tuple[float, float]:
+def _evaluate(alpha: float, beta: float, t: float) -> tuple[float, float]:
     """Sum the series; return (value, guaranteed relative error bound)."""
-    rel_tol = policy.rel_tol
-    max_terms = policy.max_terms
-
     if t == 0.0:
+        # one 36-digit value rounded once to double
         return _recip_gamma(beta), 1e-30
-
-    # Double-precision log-space pre-pass. Uses sum(|T_k|) >= |S| in the
-    # truncation test, so it can declare "cannot converge" safely but
-    # never the opposite; the real test runs in the summation below.
-    ln_abs_t = math.log(abs(t))
-    condsum = 0.0
-    consec = 0
-    for k in range(max_terms):
-        a = alpha * k + beta
-        if a <= 0.0 and a == round(a):
-            continue
-        ln_term = k * ln_abs_t - math.lgamma(a)
-        if ln_term > _LN_MAX - 5.0:
-            raise _raise_magnitude(t)
-        abs_term = math.exp(ln_term)
-        condsum += abs_term
-        if abs_term <= rel_tol * condsum:
-            consec += 1
-            if consec == 2:
-                break
-        else:
-            consec = 0
-    else:
-        raise NonConvergenceError(
-            f"series for E_{{{alpha},{beta}}}({t}) did not meet the "
-            f"truncation test within {max_terms} terms"
-        )
 
     # Summation in log space at 36 digits: T_k = s * exp(k ln|t| - ln G).
     # alpha k + beta is formed exactly, so the pole test is exact too.
+    # Both charges are accumulated on terms scaled by 2**-100 (exact), so
+    # they stay finite for terms near the double range.
     frac_alpha, frac_beta = Fraction(alpha), Fraction(beta)
     condsum = 0.0
     errsum = 0.0
@@ -191,31 +150,25 @@ def _evaluate(alpha: float, beta: float, t: float, policy: SeriesPolicy) -> tupl
         lnt = Decimal(abs(t)).ln()
         lnt_float = float(lnt)
         total = Decimal(0)
-        for k in range(max_terms):
-            a = frac_alpha * k + frac_beta
-            negative = t < 0.0 and k % 2 == 1
-            if a > 0:
-                lg = _ln_gamma_hp(_dec(a))
-                ln_term = k * lnt - lg
-            elif a.denominator == 1:
+        for k in range(_MAX_TERMS):
+            recip = _ln_recip_gamma(frac_alpha * k + frac_beta)
+            if recip is None:
                 continue  # pole: reciprocal gamma vanishes
-            else:
-                # reflection: 1/Gamma(a) = Gamma(1-a) sin(pi a) / pi
-                spi = _sin_pi(a)
-                lg = _ln_gamma_hp(_dec(1 - a))
-                ln_term = k * lnt + lg + abs(spi).ln() - _LN_PI
-                negative ^= spi < 0
+            ln_recip, lg, negative = recip
+            negative ^= t < 0.0 and k % 2 == 1
+            ln_term = k * lnt + ln_recip
             if float(ln_term) > _LN_MAX - 5.0:
                 raise _raise_magnitude(t)
             term = ln_term.exp()
             total += -term if negative else term
             abs_term = float(term)
-            condsum += abs_term
-            errsum += abs_term * (abs(k * lnt_float) + abs(float(lg)) + 8.0)
+            scaled = abs_term * 2.0 ** -100
+            condsum += scaled
+            errsum += scaled * (abs(k * lnt_float) + abs(float(lg)) + 8.0)
             if prev_abs > 0.0 and abs_term > 0.0:
                 ratio = abs_term / prev_abs
             prev_abs = abs_term
-            if abs_term <= rel_tol * abs(float(total)):
+            if abs_term <= _REL_TOL * abs(float(total)):
                 consec += 1
                 if consec == 2:
                     converged = True
@@ -223,42 +176,40 @@ def _evaluate(alpha: float, beta: float, t: float, policy: SeriesPolicy) -> tupl
             else:
                 consec = 0
     value = float(total)
-    abs_bound = errsum * _EPS_UNIT + condsum * 2.0 ** -100
+    abs_bound = errsum * (_EPS_UNIT * 2.0 ** 100) + condsum
     if not converged:
         # when cancellation already spends the guarantee, that is the
         # real limit: more terms could not rescue the sum
         if abs_bound > _REL_GUARANTEE * abs(value):
             raise PrecisionLossError(
                 f"E_{{{alpha},{beta}}}({t}): cancellation exceeds the "
-                f"{_REL_GUARANTEE:.0e} contract before the {max_terms}-term cap"
+                f"{_REL_GUARANTEE:.0e} contract before the {_MAX_TERMS}-term cap"
             )
         raise NonConvergenceError(
             f"series for E_{{{alpha},{beta}}}({t}) did not meet the "
-            f"truncation test within {max_terms} terms"
+            f"truncation test within {_MAX_TERMS} terms"
         )
     if abs(value) <= abs_bound:
         return value, math.inf
     # discarded tail, bounded by a geometric extension of the last ratio
     r = min(ratio, 0.999)
-    tail = 2.0 * rel_tol + (prev_abs / abs(value)) * r / (1.0 - r)
+    tail = 2.0 * _REL_TOL + (prev_abs / abs(value)) * r / (1.0 - r)
     return value, abs_bound / abs(value) + tail
 
 
 def _recip_gamma(b: float) -> float:
-    if b > 0.0:
-        return math.exp(-ln_gamma(b))
-    if b == round(b):
-        return 0.0
-    frac_b = Fraction(b)
     with localcontext(_CTX):
-        spi = _sin_pi(frac_b)
-        ln_mag = float(_ln_gamma_hp(_dec(1 - frac_b)) + abs(spi).ln() - _LN_PI)
-    if ln_mag > _LN_MAX:
+        recip = _ln_recip_gamma(Fraction(b))
+        if recip is None:
+            return 0.0
+        ln_mag, _, negative = recip
+        value = float(ln_mag.exp())
+    if math.isinf(value):
         raise OverflowRangeError(f"1/gamma({b}) exceeds the double-precision range")
-    return math.copysign(math.exp(ln_mag), float(spi))
+    return -value if negative else value
 
 
-def e_alpha_kernel(alpha: float, lam: float, a: float, t: float, policy: SeriesPolicy = DEFAULT_POLICY) -> float:
+def e_alpha_kernel(alpha: float, lam: float, a: float, t: float) -> float:
     """(a-t)^(alpha-1) * E_{alpha,alpha}(lam (a-t)^alpha) for t < a.
 
     Strictly positive whenever lam <= 0; used as the comparison kernel in
@@ -271,11 +222,27 @@ def e_alpha_kernel(alpha: float, lam: float, a: float, t: float, policy: SeriesP
         raise DomainError(f"e_alpha_kernel requires t < a, got t={t}, a={a}")
     gap = a - t
     arg = lam * gap ** alpha
-    return gap ** (alpha - 1.0) * mittag_leffler(alpha, alpha, arg, policy)
+    return gap ** (alpha - 1.0) * mittag_leffler(alpha, alpha, arg)
 
 
 # ---------------------------------------------------------------------------
 # 36-digit helpers; call them inside localcontext(_CTX)
+
+def _ln_recip_gamma(a: Fraction) -> Optional[tuple[Decimal, Decimal, bool]]:
+    """(ln|1/Gamma(a)|, the ln Gamma charged for it, 1/Gamma(a) < 0).
+
+    None at a pole, where 1/Gamma(a) vanishes. Below zero by the
+    reflection 1/Gamma(a) = Gamma(1-a) sin(pi a) / pi.
+    """
+    if a > 0:
+        lg = _ln_gamma_hp(_dec(a))
+        return -lg, lg, False
+    if a.denominator == 1:
+        return None
+    spi = _sin_pi(a)
+    lg = _ln_gamma_hp(_dec(1 - a))
+    return lg + abs(spi).ln() - _LN_PI, lg, spi < 0
+
 
 def _dec(x: Fraction) -> Decimal:
     return Decimal(x.numerator) / x.denominator

@@ -12,18 +12,28 @@ Checked with the standard-library ast module, so it needs no linter.
 - No module-level private name (`_name` bound by a def, a class or an
   assignment) goes unread by every package module. A stale helper or
   table that nothing reads any more is dead code.
+- Every name the demos import from fracburst, and every `fb.<name>` the
+  benchmark reads, is in `fracburst.__all__`, and every call site the
+  benchmark's tracer patches resolves. A removal from the public API
+  then fails here instead of silently breaking a demo or the benchmark.
 """
 
 from __future__ import annotations
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "fracburst"
+import fracburst
+
+REPO = Path(__file__).resolve().parents[1]
+PACKAGE = REPO / "src" / "fracburst"
 ALL_MODULES = sorted(PACKAGE.glob("*.py"))
 MODULES = [p for p in ALL_MODULES if p.name != "__init__.py"]
+DEMOS = sorted((REPO / "demos").glob("*.py"))
+BENCH = sorted((REPO / "bench").glob("*.py"))
 
 
 def imported_names(tree: ast.Module) -> set[str]:
@@ -160,3 +170,68 @@ def test_no_unread_private_names():
     trees = [ast.parse(p.read_text(), filename=str(p)) for p in ALL_MODULES]
     unread = unread_private_names(trees)
     assert not unread, f"module-level private names no package module reads: {unread}"
+
+
+# ---------------------------------------------------------------------------
+# demos and benchmark against the public API
+
+def package_reads(tree: ast.Module) -> tuple[set[str], set[str]]:
+    """(names taken by `from fracburst import ...`, non-dunder attributes
+    read on a name bound by `import fracburst [as fb]`)."""
+    imported, aliases = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "fracburst":
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            aliases.update(alias.asname or alias.name
+                           for alias in node.names if alias.name == "fracburst")
+    attributes = {node.attr for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                  and node.value.id in aliases and not node.attr.startswith("__")}
+    return imported, attributes
+
+
+def test_package_reads_detector():
+    tree = ast.parse(
+        "import fracburst as fb\n"
+        "import numpy as np\n"
+        "from fracburst import solve, detect as d\n"
+        "from fracburst.cli import main\n"
+        "def f():\n"
+        "    import fracburst\n"
+        "    return fb.theorem_bound, fracburst.gamma, fracburst.__file__, np.pi\n"
+    )
+    assert package_reads(tree) == ({"solve", "detect"}, {"theorem_bound", "gamma"})
+
+
+@pytest.mark.parametrize("path", DEMOS, ids=lambda p: p.name)
+def test_demo_imports_are_public(path):
+    imported, attributes = package_reads(ast.parse(path.read_text(), filename=str(path)))
+    assert imported, f"{path.name} imports nothing from fracburst"
+    missing = sorted((imported | attributes) - set(fracburst.__all__))
+    assert not missing, f"{path.name} uses names outside fracburst.__all__: {missing}"
+
+
+def test_bench_package_reads_are_public():
+    read = set()
+    for path in BENCH:
+        read |= package_reads(ast.parse(path.read_text(), filename=str(path)))[1]
+    assert {"solve", "mittag_leffler"} <= read
+    missing = sorted(read - set(fracburst.__all__))
+    assert not missing, f"bench/ reads fb.<name> outside fracburst.__all__: {missing}"
+
+
+def call_sites() -> list[tuple[str, str]]:
+    """The (module, attribute) pairs of CALL_SITES in bench/spans.py."""
+    path = REPO / "bench" / "spans.py"
+    for node in ast.parse(path.read_text(), filename=str(path)).body:
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "CALL_SITES" for t in node.targets)):
+            return [(row.elts[0].value, row.elts[1].value) for row in node.value.elts]
+    raise AssertionError("bench/spans.py defines no CALL_SITES")
+
+
+@pytest.mark.parametrize("site", call_sites(), ids=".".join)
+def test_bench_call_sites_resolve(site):
+    module, attr = site
+    assert callable(getattr(importlib.import_module(module), attr, None)), ".".join(site)

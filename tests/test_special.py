@@ -22,7 +22,6 @@ from fracburst import (
     NonConvergenceError,
     OverflowRangeError,
     PrecisionLossError,
-    SeriesPolicy,
     e_alpha_kernel,
     gamma,
     ln_gamma,
@@ -132,7 +131,7 @@ def test_e11_is_exp():
         )
 
 
-def test_mittag_leffler_domain_and_policy():
+def test_mittag_leffler_domain():
     with pytest.raises(DomainError):
         mittag_leffler(0.0, 1.0, 1.0)
     with pytest.raises(DomainError):
@@ -141,12 +140,15 @@ def test_mittag_leffler_domain_and_policy():
         mittag_leffler(0.5, math.nan, 1.0)
     with pytest.raises(DomainError):
         mittag_leffler(0.5, 1.0, math.inf)
-    with pytest.raises(TypeError):
-        mittag_leffler(0.5, 1.0, 1.0, policy={"max_terms": 10})
-    with pytest.raises(ValueError):
-        SeriesPolicy(rel_tol=0.0)
-    with pytest.raises(ValueError):
-        SeriesPolicy(max_terms=8)
+
+
+@pytest.mark.parametrize("beta", [0.1, 0.3, 0.5, 0.8, 1.5, -0.7, -1.5])
+def test_mittag_leffler_at_zero_is_rounded_rgamma(beta):
+    # E_{alpha,beta}(0) = 1/Gamma(beta), formed at 36 digits and rounded
+    # once, so it is within one rounding of the exact value
+    exact = mpmath.rgamma(mpmath.mpf(beta))
+    rel = abs((mittag_leffler(0.8, beta, 0.0) - exact) / exact)
+    assert float(rel) <= 1.2e-16
 
 
 def test_mittag_leffler_positive_overflow():
@@ -246,14 +248,8 @@ def series_term(alpha, beta, t, k):
     a = Fraction(alpha) * k + Fraction(beta)
     with decimal.localcontext(special._CTX):
         lnt = Decimal(abs(t)).ln()
-        if a > 0:
-            lg = special._ln_gamma_hp(special._dec(a))
-            ln_term = k * lnt - lg
-        else:
-            spi = special._sin_pi(a)
-            lg = special._ln_gamma_hp(special._dec(1 - a))
-            ln_term = k * lnt + lg + abs(spi).ln() - special._LN_PI
-        term = ln_term.exp()
+        ln_recip, lg, _ = special._ln_recip_gamma(a)
+        term = (k * lnt + ln_recip).exp()
     return term, a, abs(k * float(lnt)) + abs(float(lg)) + 8.0
 
 
@@ -290,12 +286,9 @@ def test_series_term_within_error_budget(alpha, beta, t, k):
 )
 def test_recip_gamma_against_mpmath(b):
     exact = mpmath.rgamma(mpmath.mpf(b))
-    ln_mag = float(abs(mpmath.log(abs(exact))))
     rel = float(abs((special._recip_gamma(b) - exact) / exact))
-    # b > 0 inherits the 1e-13 contract of ln_gamma; the reflection is
-    # formed at 36 digits and rounded once, through a double exp
-    unit = 1e-13 if b > 0 else 1e-15
-    assert rel <= unit * max(1.0, ln_mag)
+    # formed at 36 digits for either sign of b and rounded once to double
+    assert rel <= 1.2e-16
 
 
 @pytest.mark.parametrize("b", [0.0, -1.0, -5.0])
@@ -310,7 +303,7 @@ def test_recip_gamma_overflow():
 
 
 # ---------------------------------------------------------------------------
-# guaranteed-raise boundaries on the negative axis (default policy)
+# guaranteed-raise boundaries on the negative axis
 
 @pytest.mark.parametrize(
     "alpha,last_ok,raise_type",
@@ -347,6 +340,18 @@ def test_raise_is_precision_loss_subclass(alpha, beta, t):
         mittag_leffler(alpha, beta, t)
     with pytest.raises(PrecisionLossError):
         mittag_leffler(alpha, beta, t)
+
+
+@pytest.mark.parametrize(
+    "alpha,beta,t",
+    [(0.1, -1.5, 7.5), (0.1, -1.5, -7.5), (0.3, 2.0, 18.5), (0.3, 2.0, -18.5)],
+)
+def test_cap_near_double_range_is_plain_nonconvergence(alpha, beta, t):
+    # terms near 1e305 charged ~1000 units each: the error budget must
+    # stay finite there, so the cap, not a spent budget, decides the raise
+    with pytest.raises(NonConvergenceError) as info:
+        mittag_leffler(alpha, beta, t)
+    assert type(info.value) is NonConvergenceError
 
 
 # ---------------------------------------------------------------------------
