@@ -53,7 +53,7 @@ def main() -> None:
     print(f"last retained state: {traj.states[status.step]}")
 
     banner("grid-doubling refinement of the crossing time")
-    report = detect(spec, config, RefinementPolicy(budget=scenario.budget))
+    report = detect(spec, config)
     for n, crossing in report.runs:
         label = "no crossing" if crossing is None else f"crossing t = {crossing:.8f}"
         print(f"  N = {n:6d}:  {label}")

@@ -91,7 +91,10 @@ class Branch(enum.Enum):
 
 @dataclass(frozen=True)
 class PowerLawParams:
-    """The two-component system t^q1 x^p11 y^p12 / t^q2 x^p21 y^p22."""
+    """The two-component system t^q1 x^p11 y^p12 / t^q2 x^p21 y^p22.
+
+    alpha = 1 is the classical limit: it solves, but has no bound.
+    """
 
     alpha: float
     q1: float
@@ -104,8 +107,8 @@ class PowerLawParams:
     y0: float
 
     def __post_init__(self):
-        if not (0.0 < self.alpha < 1.0):
-            raise DomainError(f"alpha must lie in (0, 1), got {self.alpha}")
+        if not (0.0 < self.alpha <= 1.0):
+            raise DomainError(f"alpha must lie in (0, 1], got {self.alpha}")
         for name in ("q1", "q2", "p11", "p12", "p21", "p22"):
             v = getattr(self, name)
             if not (v >= 0.0):

@@ -20,13 +20,12 @@ import numpy as np
 
 from .bounds import (
     BoundCertificate,
-    PowerLawParams,
     b_domain_lower,
     big_B,
     theorem_bound,
 )
 from .config import ScenarioConfig, load_config
-from .detect import NoCrossing, RefinementPolicy, detect
+from .detect import NoCrossing, detect
 from .errors import (
     ConfigError,
     DomainError,
@@ -47,16 +46,10 @@ EXIT_NUMERIC = 4
 _B_CURVE_POINTS = 400
 
 
-def _params(cfg: ScenarioConfig, alpha: float) -> PowerLawParams:
-    return PowerLawParams(alpha=alpha, q1=cfg.q1, q2=cfg.q2,
-                          p11=cfg.p11, p12=cfg.p12, p21=cfg.p21, p22=cfg.p22,
-                          x0=cfg.x0, y0=cfg.y0)
-
-
 def _solver_config(cfg: ScenarioConfig) -> SolverConfig:
-    if cfg.T is None:
+    if cfg.solver is None:
         raise ConfigError("this command needs a [solver] section with T")
-    return SolverConfig(T=cfg.T, N=cfg.N, overflow_threshold=cfg.threshold)
+    return cfg.solver
 
 
 def _fmt(value: float) -> str:
@@ -108,10 +101,10 @@ def _print_certificate(cert: BoundCertificate) -> None:
 
 def cmd_bound(cfg: ScenarioConfig) -> int:
     code = EXIT_OK
-    for alpha in cfg.alphas:
-        print(f"alpha = {alpha:g}")
+    for params in cfg.systems:
+        print(f"alpha = {params.alpha:g}")
         try:
-            cert = theorem_bound(_params(cfg, alpha))
+            cert = theorem_bound(params)
         except NotApplicableError as exc:
             print(f"  not applicable: {exc}")
             for violation in exc.violations:
@@ -140,8 +133,9 @@ def _status_line(alpha: float, trajectory: Trajectory) -> str:
 
 def cmd_solve(cfg: ScenarioConfig, out_dir: Path = Path(".")) -> int:
     solver_cfg = _solver_config(cfg)
-    for alpha in cfg.alphas:
-        trajectory = solve(system_spec(_params(cfg, alpha)), solver_cfg)
+    for params in cfg.systems:
+        alpha = params.alpha
+        trajectory = solve(system_spec(params), solver_cfg)
         csv_path = out_dir / f"{cfg.name}_alpha{alpha:g}.csv"
         _write_csv(csv_path, trajectory.times, trajectory.states)
         _write_plot(csv_path, "t", trajectory.states.shape[1])
@@ -152,9 +146,9 @@ def cmd_solve(cfg: ScenarioConfig, out_dir: Path = Path(".")) -> int:
 
 def cmd_detect(cfg: ScenarioConfig) -> int:
     solver_cfg = _solver_config(cfg)
-    policy = RefinementPolicy(budget=cfg.budget)
-    for alpha in cfg.alphas:
-        result = detect(system_spec(_params(cfg, alpha)), solver_cfg, policy)
+    for params in cfg.systems:
+        alpha = params.alpha
+        result = detect(system_spec(params), solver_cfg, cfg.policy)
         if isinstance(result, NoCrossing):
             print(f"alpha={alpha:g}: no crossing in [0, {solver_cfg.T:g}] "
                   f"at finest N = {result.finest_n}")
@@ -175,9 +169,10 @@ def cmd_b_curve(
     out_dir: Path = Path("."),
 ) -> int:
     code = EXIT_OK
-    for alpha in cfg.alphas:
+    for params in cfg.systems:
+        alpha = params.alpha
         try:
-            cert = theorem_bound(_params(cfg, alpha))
+            cert = theorem_bound(params)
         except (NotApplicableError, DomainError) as exc:
             print(f"alpha={alpha:g}: not applicable: {exc}")
             code = EXIT_NOT_APPLICABLE
@@ -231,8 +226,7 @@ def _reproduce_row(example: int, alpha: float, base_n: int, out_dir: Path) -> _R
         scenario = detection_scenario(example, alpha, base_n=base_n)
         row.tau_ub = scenario.certificate.tau_ub
         row.lambda_m = scenario.certificate.scalar.lambda_m
-        result = detect(system_spec(scenario.params), scenario.base_config,
-                        RefinementPolicy(scenario.budget))
+        result = detect(system_spec(scenario.params), scenario.base_config)
         if isinstance(result, NoCrossing):
             row.no_crossing = True
         else:

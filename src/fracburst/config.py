@@ -23,61 +23,78 @@ offending line number.
     threshold = 1e8
     budget = 5
 
-`alpha` accepts a single value or a comma-separated sweep. `q1` and `q2`
-default to 0; `N` defaults to 4096; `threshold` to 1e8; `budget` to 5;
-`T` has no default and is required by the solve and detect commands.
+`alpha` accepts a single value in (0, 1] or a comma-separated sweep; the
+bound command needs alpha < 1. `q1` and `q2` default to 0 and `N` to
+4096; `threshold` and `budget` default to the `overflow_threshold` of
+`SolverConfig` and the `budget` of `RefinementPolicy`, the only place
+those two defaults are written. `T` has no default and is required by
+the solve and detect commands. Every key and its range is one row of
+`_KEYS`.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
+from .bounds import PowerLawParams
+from .detect import RefinementPolicy
 from .errors import ConfigError
+from .solver import SolverConfig
 
 __all__ = ["ScenarioConfig", "parse_config", "load_config"]
 
-_SECTION_KEYS = {
-    "system": ("alpha", "q1", "q2", "p11", "p12", "p21", "p22", "x0", "y0"),
-    "solver": ("T", "N"),
-    "detection": ("threshold", "budget"),
+_REQUIRED = object()
+_POSITIVE = ("be positive", lambda v: v > 0.0)
+_NONNEGATIVE = ("be nonnegative", lambda v: v >= 0.0)
+
+# key: (section, type, default, (requirement, check)). Section None is
+# the top level, type tuple a comma-separated sweep of floats, and a
+# None default leaves the setting unset (no T: no solver).
+_KEYS = {
+    "name": (None, str, None, None),
+    "alpha": ("system", tuple, _REQUIRED, ("lie in (0, 1]", lambda v: 0.0 < v <= 1.0)),
+    "q1": ("system", float, 0.0, _NONNEGATIVE),
+    "q2": ("system", float, 0.0, _NONNEGATIVE),
+    "p11": ("system", float, _REQUIRED, _NONNEGATIVE),
+    "p12": ("system", float, _REQUIRED, _NONNEGATIVE),
+    "p21": ("system", float, _REQUIRED, _NONNEGATIVE),
+    "p22": ("system", float, _REQUIRED, _NONNEGATIVE),
+    "x0": ("system", float, _REQUIRED, _POSITIVE),
+    "y0": ("system", float, _REQUIRED, _POSITIVE),
+    "T": ("solver", float, None, _POSITIVE),
+    "N": ("solver", int, 4096, ("be >= 1", lambda v: v >= 1)),
+    "threshold": ("detection", float, SolverConfig.overflow_threshold, _POSITIVE),
+    "budget": ("detection", int, RefinementPolicy.budget, _NONNEGATIVE),
 }
+_SECTIONS = {section for section, *_ in _KEYS.values() if section}
 
 
 @dataclass(frozen=True)
 class ScenarioConfig:
+    """One parameter set per swept alpha; solver is None without a T."""
+
     name: str
-    alphas: tuple[float, ...]
-    q1: float
-    q2: float
-    p11: float
-    p12: float
-    p21: float
-    p22: float
-    x0: float
-    y0: float
-    T: Optional[float]
-    N: int
-    threshold: float
-    budget: int
+    systems: tuple[PowerLawParams, ...]
+    solver: Optional[SolverConfig]
+    policy: RefinementPolicy
 
 
-def _parse_float(raw: str, key: str, line_no: int) -> float:
+def _parse(kind: type, raw: str, key: str, line_no: int):
+    if kind is str:
+        return raw
+    if kind is tuple:
+        return tuple(_parse(float, part.strip(), key, line_no) for part in raw.split(","))
     try:
-        value = float(raw)
+        value = kind(raw)
     except ValueError:
-        raise ConfigError(f"line {line_no}: {key} is not a number: {raw!r}") from None
-    if value != value or value in (float("inf"), float("-inf")):
+        noun = "a number" if kind is float else "an integer"
+        raise ConfigError(f"line {line_no}: {key} is not {noun}: {raw!r}") from None
+    if kind is float and not math.isfinite(value):
         raise ConfigError(f"line {line_no}: {key} must be finite, got {raw!r}")
     return value
-
-
-def _parse_int(raw: str, key: str, line_no: int) -> int:
-    try:
-        return int(raw)
-    except ValueError:
-        raise ConfigError(f"line {line_no}: {key} is not an integer: {raw!r}") from None
 
 
 def parse_config(text: str, default_name: str = "scenario") -> ScenarioConfig:
@@ -85,7 +102,6 @@ def parse_config(text: str, default_name: str = "scenario") -> ScenarioConfig:
     section = None
     seen_sections: list[str] = []
     values: dict[str, tuple[str, int]] = {}
-    name = default_name
 
     for line_no, raw_line in enumerate(text.splitlines(), start=1):
         line = raw_line.strip()
@@ -93,7 +109,7 @@ def parse_config(text: str, default_name: str = "scenario") -> ScenarioConfig:
             continue
         if line.startswith("[") and line.endswith("]"):
             section = line[1:-1].strip()
-            if section not in _SECTION_KEYS:
+            if section not in _SECTIONS:
                 raise ConfigError(f"line {line_no}: unknown section [{section}]")
             if section in seen_sections:
                 raise ConfigError(f"line {line_no}: duplicate section [{section}]")
@@ -106,14 +122,11 @@ def parse_config(text: str, default_name: str = "scenario") -> ScenarioConfig:
         raw = raw.strip()
         if not raw:
             raise ConfigError(f"line {line_no}: empty value for {key!r}")
-        if section is None:
-            if key != "name":
-                raise ConfigError(
-                    f"line {line_no}: key {key!r} before any section (only 'name' may appear here)"
-                )
-            name = raw
-            continue
-        if key not in _SECTION_KEYS[section]:
+        if section is None and key != "name":
+            raise ConfigError(
+                f"line {line_no}: key {key!r} before any section (only 'name' may appear here)"
+            )
+        if key not in _KEYS or _KEYS[key][0] != section:
             raise ConfigError(f"line {line_no}: unknown key {key!r} in [{section}]")
         if key in values:
             raise ConfigError(f"line {line_no}: duplicate key {key!r}")
@@ -122,72 +135,33 @@ def parse_config(text: str, default_name: str = "scenario") -> ScenarioConfig:
     if "system" not in seen_sections:
         raise ConfigError("missing [system] section")
 
-    def need(key: str) -> tuple[str, int]:
+    settings = {}
+    for key, (section, kind, default, requirement) in _KEYS.items():
         if key not in values:
-            raise ConfigError(f"missing required key {key!r} in [system]")
-        return values[key]
+            if default is _REQUIRED:
+                raise ConfigError(f"missing required key {key!r} in [{section}]")
+            settings[key] = default
+            continue
+        raw, line_no = values[key]
+        value = _parse(kind, raw, key, line_no)
+        if requirement is not None:
+            must, check = requirement
+            for v in value if kind is tuple else (value,):
+                if not check(v):
+                    raise ConfigError(f"line {line_no}: {key} must {must}, got {v}")
+        settings[key] = value
 
-    raw, ln = need("alpha")
-    alphas = tuple(_parse_float(part.strip(), "alpha", ln) for part in raw.split(","))
-    for a in alphas:
-        if not (0.0 < a <= 1.0):
-            raise ConfigError(f"line {ln}: alpha must lie in (0, 1], got {a}")
-
-    def sys_float(key: str, default: Optional[float] = None) -> float:
-        if key not in values:
-            if default is None:
-                raise ConfigError(f"missing required key {key!r} in [system]")
-            return default
-        raw, ln = values[key]
-        return _parse_float(raw, key, ln)
-
-    q1 = sys_float("q1", 0.0)
-    q2 = sys_float("q2", 0.0)
-    exps = {k: sys_float(k) for k in ("p11", "p12", "p21", "p22")}
-    x0 = sys_float("x0")
-    y0 = sys_float("y0")
-    for key, v in [("q1", q1), ("q2", q2)] + list(exps.items()):
-        if v < 0.0:
-            ln = values[key][1] if key in values else 0
-            raise ConfigError(f"line {ln}: {key} must be nonnegative, got {v}")
-    for key, v in (("x0", x0), ("y0", y0)):
-        if v <= 0.0:
-            ln = values[key][1]
-            raise ConfigError(f"line {ln}: {key} must be positive, got {v}")
-
-    T: Optional[float] = None
-    if "T" in values:
-        raw, ln = values["T"]
-        T = _parse_float(raw, "T", ln)
-        if T <= 0.0:
-            raise ConfigError(f"line {ln}: T must be positive, got {T}")
-    if "N" in values:
-        raw, ln = values["N"]
-        n = _parse_int(raw, "N", ln)
-        if n < 1:
-            raise ConfigError(f"line {ln}: N must be >= 1, got {n}")
-    else:
-        n = 4096
-
-    if "threshold" in values:
-        raw, ln = values["threshold"]
-        threshold = _parse_float(raw, "threshold", ln)
-        if threshold <= 0.0:
-            raise ConfigError(f"line {ln}: threshold must be positive, got {threshold}")
-    else:
-        threshold = 1e8
-    if "budget" in values:
-        raw, ln = values["budget"]
-        budget = _parse_int(raw, "budget", ln)
-        if budget < 0:
-            raise ConfigError(f"line {ln}: budget must be nonnegative, got {budget}")
-    else:
-        budget = 5
-
+    shared = {key: settings[key] for key, row in _KEYS.items()
+              if row[0] == "system" and key != "alpha"}
+    solver = None
+    if settings["T"] is not None:
+        solver = SolverConfig(T=settings["T"], N=settings["N"],
+                              overflow_threshold=settings["threshold"])
     return ScenarioConfig(
-        name=name, alphas=alphas, q1=q1, q2=q2,
-        p11=exps["p11"], p12=exps["p12"], p21=exps["p21"], p22=exps["p22"],
-        x0=x0, y0=y0, T=T, N=n, threshold=threshold, budget=budget,
+        name=settings["name"] or default_name,
+        systems=tuple(PowerLawParams(alpha=a, **shared) for a in settings["alpha"]),
+        solver=solver,
+        policy=RefinementPolicy(budget=settings["budget"]),
     )
 
 

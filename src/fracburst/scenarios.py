@@ -37,9 +37,6 @@ _EXAMPLES = {
 # horizon margin over tau_ub; crossings land below tau_ub, so 5% headroom
 # keeps the soundness comparison meaningful without wasting grid points
 _HORIZON_MARGIN = 1.05
-# crossing threshold and ladder refinement budget of every scenario
-_THRESHOLD = 1e8
-_BUDGET = 5
 
 
 @dataclass(frozen=True)
@@ -48,7 +45,6 @@ class Scenario:
     params: PowerLawParams
     certificate: BoundCertificate
     base_config: SolverConfig
-    budget: int
 
 
 def example_params(example: int, alpha: float) -> PowerLawParams:
@@ -75,18 +71,17 @@ def system_spec(params: PowerLawParams) -> SystemSpec:
 
 
 def detection_scenario(example: int, alpha: float, base_n: int = 4096) -> Scenario:
-    """Scenario with horizon slightly above the certified blow-up bound."""
+    """Scenario with horizon slightly above the certified blow-up bound.
+
+    The crossing threshold is the SolverConfig default; run it with the
+    default RefinementPolicy.
+    """
     params = example_params(example, alpha)
     cert = theorem_bound(params)
-    config = SolverConfig(
-        T=_HORIZON_MARGIN * cert.tau_ub,
-        N=base_n,
-        overflow_threshold=_THRESHOLD,
-    )
+    config = SolverConfig(T=_HORIZON_MARGIN * cert.tau_ub, N=base_n)
     return Scenario(
         name=f"{EXAMPLE_NAMES[example]}_alpha{alpha:g}",
         params=params,
         certificate=cert,
         base_config=config,
-        budget=_BUDGET,
     )

@@ -133,7 +133,7 @@ def _evaluate(alpha: float, beta: float, t: float) -> tuple[float, float]:
     """Sum the series; return (value, guaranteed relative error bound)."""
     if t == 0.0:
         # one 36-digit value rounded once to double
-        return _recip_gamma(beta), 1e-30
+        return _recip_gamma(beta), 2.0 ** -52
 
     # Summation in log space at 36 digits: T_k = s * exp(k ln|t| - ln G).
     # alpha k + beta is formed exactly, so the pole test is exact too.

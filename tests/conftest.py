@@ -100,7 +100,7 @@ def detection_rows():
             result = detect(
                 system_spec(scenario.params),
                 scenario.base_config,
-                RefinementPolicy(scenario.budget),
+                RefinementPolicy(),
             )
             rows[(example, alpha)] = (scenario, result)
     elapsed = time.perf_counter() - t0

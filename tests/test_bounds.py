@@ -227,6 +227,15 @@ def test_all_ones_not_applicable():
     assert "admissibility" in joined
 
 
+def test_alpha_one_builds_but_has_no_bound():
+    # the classical limit is a valid system for the solver, but the
+    # comparison theorem needs alpha < 1
+    params = PowerLawParams(alpha=1.0, q1=0.5, q2=0.5, p11=1.0, p12=3.0,
+                            p21=2.0, p22=4.0, x0=1.0, y0=1.0)
+    with pytest.raises(DomainError, match=r"alpha must lie in \(0, 1\)"):
+        theorem_bound(params)
+
+
 def test_distinct_q_violations_have_no_branch_prefix():
     # distinct exponents, cross condition broken: one clean violation list
     params = PowerLawParams(alpha=0.5, q1=0.0, q2=1.0, p11=0.0, p12=2.0,

@@ -21,7 +21,14 @@ import numpy as np
 import pytest
 
 from conftest import BENCH_ALPHAS, parse_reproduce_tables
-from fracburst import ConfigError, load_config, parse_config
+from fracburst import (
+    ConfigError,
+    PowerLawParams,
+    RefinementPolicy,
+    SolverConfig,
+    load_config,
+    parse_config,
+)
 from fracburst.cli import (
     EXIT_CONFIG,
     EXIT_NOT_APPLICABLE,
@@ -88,21 +95,26 @@ def read_csv(path):
 def test_parse_full_example():
     cfg = parse_config(EXAMPLE1_CFG)
     assert cfg.name == "bench1"
-    assert cfg.alphas == BENCH_ALPHAS
-    assert (cfg.q1, cfg.q2) == (0.5, 1.5)
-    assert (cfg.p11, cfg.p12, cfg.p21, cfg.p22) == (1.5, 3.6, 0.5, 2.4)
-    assert (cfg.x0, cfg.y0) == (1.0, 1.2)
+    assert cfg.systems == tuple(
+        PowerLawParams(alpha=alpha, q1=0.5, q2=1.5, p11=1.5, p12=3.6,
+                       p21=0.5, p22=2.4, x0=1.0, y0=1.2)
+        for alpha in BENCH_ALPHAS
+    )
 
 
 def test_parse_defaults():
     cfg = parse_config(MINIMAL_CFG)
     assert cfg.name == "scenario"
-    assert cfg.alphas == (0.5,)
-    assert (cfg.q1, cfg.q2) == (0.0, 0.0)
-    assert cfg.T is None
-    assert cfg.N == 4096
-    assert cfg.threshold == 1e8
-    assert cfg.budget == 5
+    (params,) = cfg.systems
+    assert params.alpha == 0.5
+    assert (params.q1, params.q2) == (0.0, 0.0)
+    assert cfg.solver is None
+    assert cfg.policy == RefinementPolicy()
+    # N, threshold and budget defaults, seen through a horizon
+    solver = parse_config(MINIMAL_CFG + "[solver]\nT = 1\n").solver
+    assert solver == SolverConfig(T=1.0, N=4096)
+    assert solver.overflow_threshold == 1e8
+    assert cfg.policy.budget == 5
 
 
 def test_parse_comments_and_blanks():
@@ -113,10 +125,8 @@ def test_parse_comments_and_blanks():
 def test_parse_solver_and_detection_sections():
     text = MINIMAL_CFG + "[solver]\nT = 0.25\nN = 512\n[detection]\nthreshold = 1e6\nbudget = 2\n"
     cfg = parse_config(text)
-    assert cfg.T == 0.25
-    assert cfg.N == 512
-    assert cfg.threshold == 1e6
-    assert cfg.budget == 2
+    assert cfg.solver == SolverConfig(T=0.25, N=512, overflow_threshold=1e6)
+    assert cfg.policy == RefinementPolicy(budget=2)
 
 
 @pytest.mark.parametrize(
@@ -127,6 +137,7 @@ def test_parse_solver_and_detection_sections():
         ("[system]\nalpha\n", "line 2: expected key = value"),
         ("[system]\nalpha =\n", "line 2: empty value for 'alpha'"),
         ("x0 = 1\n", "line 1: key 'x0' before any section"),
+        ("name = a\nname = b\n", "line 2: duplicate key 'name'"),
         ("[system]\nT = 1\n", "line 2: unknown key 'T' in [system]"),
         ("[system]\nalpha = 0.5\nalpha = 0.6\n", "line 3: duplicate key 'alpha'"),
         ("[system]\nalpha = abc\n", "line 2: alpha is not a number: 'abc'"),
@@ -224,12 +235,10 @@ def test_csv_schema(solved):
 
 def test_csv_round_trip(solved):
     cfg, _, _, tmp_path = solved
-    from fracburst import SolverConfig, solve, system_spec
-    from fracburst.cli import _params
+    from fracburst import solve, system_spec
 
     header, data = read_csv(tmp_path / "scenario_alpha0.5.csv")
-    traj = solve(system_spec(_params(cfg, 0.5)),
-                 SolverConfig(T=0.01, N=256, overflow_threshold=cfg.threshold))
+    traj = solve(system_spec(cfg.systems[0]), SolverConfig(T=0.01, N=256))
     assert data.shape == (257, 3)
     original = np.column_stack([traj.times, traj.states])
     for k in range(data.shape[0]):
@@ -336,10 +345,33 @@ def test_main_invalid_config(tmp_path, capsys):
     assert main(["bound", str(path)]) == EXIT_CONFIG
 
 
+ALPHA_ONE_CFG = MINIMAL_CFG.replace("alpha = 0.5", "alpha = 1.0")
+
+
 def test_main_bound_alpha_one_not_applicable(tmp_path, capsys):
-    path = write_cfg(tmp_path, MINIMAL_CFG.replace("alpha = 0.5", "alpha = 1.0"))
+    path = write_cfg(tmp_path, ALPHA_ONE_CFG)
     assert main(["bound", str(path)]) == EXIT_NOT_APPLICABLE
-    assert "not applicable" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "not applicable" in out
+    assert "alpha must lie in (0, 1)" in out
+
+
+def test_main_solve_alpha_one(tmp_path, capsys, monkeypatch):
+    # the classical limit has no bound, but it solves
+    path = write_cfg(tmp_path, ALPHA_ONE_CFG + "[solver]\nT = 0.01\nN = 64\n")
+    monkeypatch.chdir(tmp_path)
+    assert main(["solve", str(path)]) == EXIT_OK
+    assert "alpha=1: completed" in capsys.readouterr().out
+    header, data = read_csv(tmp_path / "scn_alpha1.csv")
+    assert header == ["t", "x1", "x2"]
+    assert data.shape == (65, 3)
+
+
+def test_main_detect_alpha_one(tmp_path, capsys):
+    text = ALPHA_ONE_CFG + "[solver]\nT = 0.25\nN = 64\n[detection]\nbudget = 1\n"
+    path = write_cfg(tmp_path, text)
+    assert main(["detect", str(path)]) == EXIT_OK
+    assert "alpha=1: t_num =" in capsys.readouterr().out
 
 
 def test_main_bound_all_ones_not_applicable(tmp_path, capsys):

@@ -154,7 +154,7 @@ def test_report_fields_agree_with_history(detection_rows):
             k_prev, k_last = grid_index(c_prev, n_prev, T), grid_index(c_last, n_last, T)
             assert abs(k_last - 2 * k_prev) <= 2
         else:
-            assert len(report.runs) == scenario.budget + 1
+            assert len(report.runs) == RefinementPolicy().budget + 1
 
 
 def test_ladder_monotone_or_within_one_coarse_cell(detection_rows):
@@ -231,7 +231,7 @@ def test_stop_rule_ignores_last_bit_of_horizon():
     # must give the same levels and the same crossing index at each level
     scenario = detection_scenario(3, 0.9, base_n=512)
     spec = system_spec(scenario.params)
-    policy = RefinementPolicy(scenario.budget)
+    policy = RefinementPolicy()
     T = scenario.base_config.T
     T_up = float(np.nextafter(T, math.inf))
     at_t = detect(spec, scenario.base_config, policy)

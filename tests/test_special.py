@@ -151,6 +151,15 @@ def test_mittag_leffler_at_zero_is_rounded_rgamma(beta):
     assert float(rel) <= 1.2e-16
 
 
+@pytest.mark.parametrize("beta", [0.1, 0.3, 0.5, 0.8, 1.5, -0.7, -1.5])
+def test_mittag_leffler_bound_at_zero_covers_rounding(beta):
+    # the bound returned with E_{alpha,beta}(0) must cover the measured
+    # error of the rounded value, not only that of the 36-digit one
+    value, bound = special._evaluate(0.8, beta, 0.0)
+    exact = mpmath.rgamma(mpmath.mpf(beta))
+    assert bound >= float(abs((value - exact) / exact))
+
+
 def test_mittag_leffler_positive_overflow():
     with pytest.raises(NonConvergenceError):
         mittag_leffler(0.5, 1.0, 1e9)
