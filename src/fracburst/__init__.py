@@ -19,7 +19,6 @@ from .bounds import (
     b_domain_lower,
     big_B,
     conjugate_index,
-    minimize_big_B,
     tau_bound,
     theorem_bound,
 )
@@ -111,7 +110,6 @@ __all__ = [
     "gamma",
     "l1_caputo",
     "ln_gamma",
-    "minimize_big_B",
     "mittag_leffler",
     "parse_config",
     "predictor_weight_b",

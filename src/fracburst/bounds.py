@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 from .errors import BracketingError, DomainError, NotApplicableError, OverflowRangeError
 from .special import ln_gamma, _LN_MAX
@@ -25,7 +25,6 @@ __all__ = [
     "conjugate_index",
     "big_B",
     "b_domain_lower",
-    "minimize_big_B",
     "tau_bound",
     "theorem_bound",
 ]
@@ -46,12 +45,17 @@ def conjugate_index(p: float) -> float:
 
 @dataclass(frozen=True)
 class ScalarBoundProblem:
-    """One-component blow-up problem: D^alpha u >= K t^q u^p, u(0) = u0."""
+    """One-component blow-up problem: D^alpha u >= K t^q u^p, u(0) = u0.
+
+    Construction validates the inputs and derives p_tilde, the conjugate
+    index of p, once; tau_bound reads it from here.
+    """
 
     alpha: float
     u0: float
     q: float
     p: float
+    p_tilde: float = field(init=False)
 
     def __post_init__(self):
         if not (0.0 < self.alpha < 1.0):
@@ -72,6 +76,10 @@ class ScalarBoundProblem:
                 f"inadmissible: q+1 = {self.q + 1} must exceed "
                 f"q*p_tilde = {self.q * p_tilde}"
             )
+        # p/(p-1) rounds to exactly 1 once p is near 2**53
+        if not (p_tilde > 1.0):
+            raise DomainError(f"p_tilde must exceed 1, got {p_tilde}")
+        object.__setattr__(self, "p_tilde", p_tilde)
 
 
 @dataclass(frozen=True)
@@ -169,22 +177,9 @@ def b_domain_lower(alpha: float, p_tilde: float, q: float) -> float:
     return max(alpha * p_tilde - 1.0, p_tilde * (q + alpha) - q - 2.0)
 
 
-def _check_admissible(alpha: float, p_tilde: float, q: float) -> None:
-    if not (0.0 < alpha < 1.0):
-        raise DomainError(f"alpha must lie in (0, 1), got {alpha}")
-    if not (p_tilde > 1.0):
-        raise DomainError(f"p_tilde must exceed 1, got {p_tilde}")
-    if not (q >= 0.0):
-        raise DomainError(f"q must be nonnegative, got {q}")
-    if not (q + 1.0 > q * p_tilde):
-        raise DomainError(
-            f"inadmissible: q+1 = {q + 1} must exceed q*p_tilde = {q * p_tilde}"
-        )
-
-
-def _minimize_ln_big_B(alpha: float, p_tilde: float, q: float):
+def _minimize_ln_big_B(problem: ScalarBoundProblem):
     """Bracket and golden-section the log of B; returns full diagnostics."""
-    _check_admissible(alpha, p_tilde, q)
+    alpha, p_tilde, q = problem.alpha, problem.p_tilde, problem.q
     lo = b_domain_lower(alpha, p_tilde, q)
     f = lambda lam: _ln_big_B(lam, alpha, p_tilde, q)
 
@@ -246,24 +241,14 @@ def _minimize_ln_big_B(alpha: float, p_tilde: float, q: float):
     return lam_m, ln_b_min, bracket
 
 
-def minimize_big_B(alpha: float, p_tilde: float, q: float) -> tuple[float, float]:
-    """Minimize B over its half-line; returns (lambda_m, B_min)."""
-    lam_m, ln_b_min, _ = _minimize_ln_big_B(alpha, p_tilde, q)
-    if ln_b_min > _LN_MAX:
-        raise OverflowRangeError(
-            f"B_min = exp({ln_b_min:.2f}) exceeds the double-precision range"
-        )
-    return lam_m, math.exp(ln_b_min)
-
-
 def tau_bound(problem: ScalarBoundProblem) -> ScalarBoundResult:
     """Blow-up time upper bound for the scalar problem.
 
     tau = [Gamma(q(1-pt)+1) / (u0^p Gamma(q+1)) * B(lambda_m)]^(1/(pt(alpha+q)))
     evaluated in log space.
     """
-    p_tilde = conjugate_index(problem.p)
-    lam_m, ln_b_min, bracket = _minimize_ln_big_B(problem.alpha, p_tilde, problem.q)
+    p_tilde = problem.p_tilde
+    lam_m, ln_b_min, bracket = _minimize_ln_big_B(problem)
     ln_tau = (
         ln_gamma(problem.q * (1.0 - p_tilde) + 1.0)
         - problem.p * math.log(problem.u0)
@@ -280,9 +265,24 @@ def tau_bound(problem: ScalarBoundProblem) -> ScalarBoundResult:
     )
 
 
-def _try_branch(branch, j, gamma_j, p_j, u_j, q_j, alpha, conditions):
-    """conditions: list of (description, holds). Returns certificate or violations."""
-    violations = [desc for desc, ok in conditions if not ok]
+def _reduce(branch, j, exponents, names, u_j, q_j, alpha):
+    """Reduce the system onto component j (i = 3 - j is eliminated).
+
+    exponents[r-1][c-1] is p_rc and names[r-1][c-1] its label in the
+    violation texts. Returns (certificate, []) or (None, violations).
+    """
+    i0, j0 = 2 - j, j - 1  # zero-based row and column of i and j
+    p_ij, p_ji = exponents[i0][j0], exponents[j0][i0]
+    p_ii, p_jj = exponents[i0][i0], exponents[j0][j0]
+    gamma_j = (p_ij + 1.0 - p_ji) / 2.0
+    p_j = p_ji + p_jj * gamma_j
+    violations = []
+    if not p_ij >= 3.0 + p_ji:
+        violations.append(f"{names[i0][j0]} >= 3 + {names[j0][i0]} fails: "
+                          f"{p_ij} < {3.0 + p_ji}")
+    if not p_ii + 1.0 >= p_jj:
+        violations.append(f"{names[i0][i0]} + 1 >= {names[j0][j0]} fails: "
+                          f"{p_ii + 1.0} < {p_jj}")
     if p_j <= 1.0:
         violations.append(
             f"derived exponent p_{j} = {p_j} does not exceed 1, so its "
@@ -297,19 +297,23 @@ def _try_branch(branch, j, gamma_j, p_j, u_j, q_j, alpha, conditions):
             )
     if violations:
         return None, violations
-    scalar = tau_bound(ScalarBoundProblem(alpha=alpha, u0=u_j, q=q_j, p=p_j))
+    problem = ScalarBoundProblem(alpha=alpha, u0=u_j, q=q_j, p=p_j)
+    scalar = tau_bound(problem)
     cert = BoundCertificate(
         branch=branch,
         j=j,
         gamma_j=gamma_j,
         p_j=p_j,
-        p_tilde_j=conjugate_index(p_j),
+        p_tilde_j=problem.p_tilde,
         u_j=u_j,
         q_j=q_j,
         scalar=scalar,
         tau_ub=scalar.tau_ub,
     )
     return cert, []
+
+
+_NAMES = (("p_11", "p_12"), ("p_21", "p_22"))
 
 
 def theorem_bound(params: PowerLawParams) -> BoundCertificate:
@@ -322,55 +326,23 @@ def theorem_bound(params: PowerLawParams) -> BoundCertificate:
     carries every violated condition.
     """
     a = params.alpha
+    exponents = ((params.p11, params.p12), (params.p21, params.p22))
     if params.q1 != params.q2:
-        # i has the smaller time exponent, j = 3 - i survives the reduction
-        if params.q1 < params.q2:
-            i, j = 1, 2
-            p_ij, p_ji = params.p12, params.p21
-            p_ii, p_jj = params.p11, params.p22
-            u_j, q_j = params.y0, params.q2
-        else:
-            i, j = 2, 1
-            p_ij, p_ji = params.p21, params.p12
-            p_ii, p_jj = params.p22, params.p11
-            u_j, q_j = params.x0, params.q1
-        gamma_j = (p_ij + 1.0 - p_ji) / 2.0
-        p_j = p_ji + p_jj * gamma_j
-        cert, violations = _try_branch(
-            Branch.DISTINCT_Q, j, gamma_j, p_j, u_j, q_j, a,
-            [
-                (f"p_{i}{j} >= 3 + p_{j}{i} fails: {p_ij} < {3.0 + p_ji}",
-                 p_ij >= 3.0 + p_ji),
-                (f"p_{i}{i} + 1 >= p_{j}{j} fails: {p_ii + 1.0} < {p_jj}",
-                 p_ii + 1.0 >= p_jj),
-            ],
-        )
+        # the component with the larger time exponent survives the reduction
+        j = 2 if params.q1 < params.q2 else 1
+        cert, violations = _reduce(Branch.DISTINCT_Q, j, exponents, _NAMES,
+                                   (params.x0, params.y0)[j - 1],
+                                   (params.q1, params.q2)[j - 1], a)
         if cert is None:
             raise NotApplicableError(violations)
         return cert
 
-    gamma_1 = (params.p22 + 1.0 - params.p11) / 2.0
-    p_1 = params.p11 + params.p12 * gamma_1
-    cert1, viol1 = _try_branch(
-        Branch.EQUAL_Q_BRANCH1, 1, gamma_1, p_1, params.x0, params.q1, a,
-        [
-            (f"p_22 >= 3 + p_11 fails: {params.p22} < {3.0 + params.p11}",
-             params.p22 >= 3.0 + params.p11),
-            (f"p_21 + 1 >= p_12 fails: {params.p21 + 1.0} < {params.p12}",
-             params.p21 + 1.0 >= params.p12),
-        ],
-    )
-    gamma_2 = (params.p12 + 1.0 - params.p21) / 2.0
-    p_2 = params.p21 + params.p22 * gamma_2
-    cert2, viol2 = _try_branch(
-        Branch.EQUAL_Q_BRANCH2, 2, gamma_2, p_2, params.y0, params.q2, a,
-        [
-            (f"p_12 >= 3 + p_21 fails: {params.p12} < {3.0 + params.p21}",
-             params.p12 >= 3.0 + params.p21),
-            (f"p_11 + 1 >= p_22 fails: {params.p11 + 1.0} < {params.p22}",
-             params.p11 + 1.0 >= params.p22),
-        ],
-    )
+    # branch 1 pairs x with y's exponents: the j = 1 reduction with columns exchanged
+    swap = lambda m: tuple(row[::-1] for row in m)
+    cert1, viol1 = _reduce(Branch.EQUAL_Q_BRANCH1, 1, swap(exponents), swap(_NAMES),
+                           params.x0, params.q1, a)
+    cert2, viol2 = _reduce(Branch.EQUAL_Q_BRANCH2, 2, exponents, _NAMES,
+                           params.y0, params.q2, a)
     if cert1 is not None and cert2 is not None:
         win, alt = (cert1, cert2) if cert1.tau_ub <= cert2.tau_ub else (cert2, cert1)
         return replace(win, branch=Branch.EQUAL_Q_BOTH, alternate=alt)

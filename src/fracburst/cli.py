@@ -105,14 +105,10 @@ def cmd_bound(cfg: ScenarioConfig) -> int:
         print(f"alpha = {params.alpha:g}")
         try:
             cert = theorem_bound(params)
-        except NotApplicableError as exc:
+        except (NotApplicableError, DomainError) as exc:
             print(f"  not applicable: {exc}")
-            for violation in exc.violations:
+            for violation in getattr(exc, "violations", ()):
                 print(f"    {violation}")
-            code = EXIT_NOT_APPLICABLE
-            continue
-        except DomainError as exc:
-            print(f"  not applicable: {exc}")
             code = EXIT_NOT_APPLICABLE
             continue
         _print_certificate(cert)
@@ -317,15 +313,12 @@ def main(argv: Optional[list[str]] = None) -> int:
         if args.command == "detect":
             return cmd_detect(cfg)
         return cmd_b_curve(cfg, args.lambda_min, args.lambda_max)
-    except ConfigError as exc:
+    except (ConfigError, DomainError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except NotApplicableError as exc:
         print(f"not applicable: {exc}", file=sys.stderr)
         return EXIT_NOT_APPLICABLE
-    except DomainError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     except FracburstError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC

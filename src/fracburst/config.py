@@ -2,8 +2,9 @@
 
 Format: optional top-level `name = ...`, then `[system]` (required, exactly
 once), `[solver]` and `[detection]` (optional). One `key = value` pair per
-line, `#` starts a comment line, blank lines ignored. Errors carry the
-offending line number.
+line, `#` starts a comment line (a `#` inside a value is an error, not
+a trailing comment), blank lines ignored. Errors carry the offending
+line number.
 
     name = demo
     [system]
@@ -122,6 +123,11 @@ def parse_config(text: str, default_name: str = "scenario") -> ScenarioConfig:
         raw = raw.strip()
         if not raw:
             raise ConfigError(f"line {line_no}: empty value for {key!r}")
+        if "#" in raw:
+            raise ConfigError(
+                f"line {line_no}: '#' in the value of {key!r}; "
+                "comments go on a line of their own"
+            )
         if section is None and key != "name":
             raise ConfigError(
                 f"line {line_no}: key {key!r} before any section (only 'name' may appear here)"

@@ -26,7 +26,6 @@ from fracburst import (
     big_B,
     conjugate_index,
     example_params,
-    minimize_big_B,
     tau_bound,
     theorem_bound,
 )
@@ -57,7 +56,8 @@ def test_conjugate_identity(p):
 # scalar problem validation
 
 def test_scalar_problem_accepts_benchmark_like_input():
-    ScalarBoundProblem(alpha=0.5, u0=1.2, q=1.5, p=5.42)
+    problem = ScalarBoundProblem(alpha=0.5, u0=1.2, q=1.5, p=5.42)
+    assert problem.p_tilde == conjugate_index(5.42)
 
 
 @pytest.mark.parametrize(
@@ -76,6 +76,12 @@ def test_scalar_problem_accepts_benchmark_like_input():
 def test_scalar_problem_rejects(kwargs, match):
     with pytest.raises(DomainError, match=match):
         ScalarBoundProblem(**kwargs)
+
+
+def test_scalar_problem_rejects_p_tilde_rounded_to_one():
+    # p/(p-1) is exactly 1.0 in double precision this far out
+    with pytest.raises(DomainError, match="p_tilde must exceed 1, got 1.0"):
+        tau_bound(ScalarBoundProblem(alpha=0.5, u0=1.0, q=0.0, p=2.0 ** 60))
 
 
 # ---------------------------------------------------------------------------
@@ -107,11 +113,14 @@ def test_big_b_raises_at_and_below_boundary():
 # minimizer
 
 @pytest.mark.parametrize(
-    "alpha,pt,q",
-    [(0.1, 1.2262626262626263, 1.5), (0.5, 2.0, 0.0), (0.9, 1.1666666666666667, 0.5)],
+    "alpha,p,q",
+    [(0.1, 5.42, 1.5), (0.5, 2.0, 0.0), (0.9, 7.0, 0.5)],
 )
-def test_minimize_probe_optimality(alpha, pt, q):
-    lam_m, b_min = minimize_big_B(alpha, pt, q)
+def test_minimize_probe_optimality(alpha, p, q):
+    problem = ScalarBoundProblem(alpha=alpha, u0=1.0, q=q, p=p)
+    pt = problem.p_tilde
+    res = tau_bound(problem)
+    lam_m, b_min = res.lambda_m, res.B_min
     assert b_min > 0.0
     assert lam_m > b_domain_lower(alpha, pt, q)
     for step in (1e-4, 1e-2):
@@ -123,11 +132,10 @@ def test_minimize_probe_optimality(alpha, pt, q):
 
 
 def test_minimize_matches_published_minimizers():
-    # example-1 certificates: p_tilde = 5.42/4.42, q = 1.5
-    pt = conjugate_index(5.42)
+    # example-1 certificates: p = 5.42, q = 1.5; lambda_m does not depend on u0
     for alpha in BENCH_ALPHAS:
-        lam_m, _ = minimize_big_B(alpha, pt, 1.5)
-        assert lam_m == pytest.approx(LAMBDA_REF[alpha], abs=5e-3)
+        res = tau_bound(ScalarBoundProblem(alpha=alpha, u0=1.2, q=1.5, p=5.42))
+        assert res.lambda_m == pytest.approx(LAMBDA_REF[alpha], abs=5e-3)
 
 
 def test_bracket_contains_minimizer():
@@ -289,3 +297,15 @@ def test_applicable_certificates_are_sound(params):
         params.alpha, cert.p_tilde_j, cert.q_j
     )
     assert theorem_bound(params) == cert
+    # the same system with its components exchanged reduces onto x (j = 1)
+    # through the same arithmetic, so every number matches bit for bit
+    exchanged = theorem_bound(PowerLawParams(
+        alpha=params.alpha, q1=params.q2, q2=params.q1, p11=params.p22,
+        p12=params.p21, p21=params.p12, p22=params.p11, x0=params.y0, y0=params.x0,
+    ))
+    assert exchanged.branch is Branch.DISTINCT_Q
+    assert exchanged.j == 1
+    assert exchanged.gamma_j == cert.gamma_j
+    assert exchanged.p_j == cert.p_j
+    assert exchanged.tau_ub == cert.tau_ub
+    assert exchanged.scalar.lambda_m == cert.scalar.lambda_m

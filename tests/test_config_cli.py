@@ -138,6 +138,8 @@ def test_parse_solver_and_detection_sections():
         ("[system]\nalpha =\n", "line 2: empty value for 'alpha'"),
         ("x0 = 1\n", "line 1: key 'x0' before any section"),
         ("name = a\nname = b\n", "line 2: duplicate key 'name'"),
+        ("name = demo  # my run\n", "line 1: '#' in the value of 'name'; "
+                                    "comments go on a line of their own"),
         ("[system]\nT = 1\n", "line 2: unknown key 'T' in [system]"),
         ("[system]\nalpha = 0.5\nalpha = 0.6\n", "line 3: duplicate key 'alpha'"),
         ("[system]\nalpha = abc\n", "line 2: alpha is not a number: 'abc'"),
