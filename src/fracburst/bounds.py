@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .errors import BracketingError, DomainError, NotApplicableError, OverflowRangeError
 from .special import ln_gamma, _LN_MAX
@@ -94,7 +94,6 @@ class Branch(enum.Enum):
     DISTINCT_Q = "distinct_q"
     EQUAL_Q_BRANCH1 = "equal_q_branch1"
     EQUAL_Q_BRANCH2 = "equal_q_branch2"
-    EQUAL_Q_BOTH = "equal_q_both"
 
 
 @dataclass(frozen=True)
@@ -129,11 +128,7 @@ class PowerLawParams:
 
 @dataclass(frozen=True)
 class BoundCertificate:
-    """Applicable branch plus the derived scalar problem and its bound.
-
-    For EQUAL_Q_BOTH the fields describe the winning (smaller) branch and
-    `alternate` retains the full certificate of the other one.
-    """
+    """Applicable branch plus the derived scalar problem and its bound."""
 
     branch: Branch
     j: int
@@ -144,7 +139,6 @@ class BoundCertificate:
     q_j: float
     scalar: ScalarBoundResult
     tau_ub: float
-    alternate: "BoundCertificate | None" = None
 
 
 def _ln_big_B(lam: float, alpha: float, p_tilde: float, q: float) -> float:
@@ -321,7 +315,8 @@ def theorem_bound(params: PowerLawParams) -> BoundCertificate:
 
     Distinct time exponents single out the component with the larger one;
     equal exponents allow two symmetric reductions and both are tried,
-    returning the smaller bound when both apply. When no branch's
+    returning the smaller bound when both apply (which needs p_11 + 1 and
+    p_11 + 3 to round to the same double). When no branch's
     hypotheses hold the theorem says nothing and NotApplicableError
     carries every violated condition.
     """
@@ -343,13 +338,9 @@ def theorem_bound(params: PowerLawParams) -> BoundCertificate:
                            params.x0, params.q1, a)
     cert2, viol2 = _reduce(Branch.EQUAL_Q_BRANCH2, 2, exponents, _NAMES,
                            params.y0, params.q2, a)
-    if cert1 is not None and cert2 is not None:
-        win, alt = (cert1, cert2) if cert1.tau_ub <= cert2.tau_ub else (cert2, cert1)
-        return replace(win, branch=Branch.EQUAL_Q_BOTH, alternate=alt)
-    if cert1 is not None:
-        return cert1
-    if cert2 is not None:
-        return cert2
+    certs = [cert for cert in (cert1, cert2) if cert is not None]
+    if certs:
+        return min(certs, key=lambda cert: cert.tau_ub)
     raise NotApplicableError(
         [f"branch 1: {v}" for v in viol1] + [f"branch 2: {v}" for v in viol2]
     )

@@ -94,9 +94,6 @@ def _print_certificate(cert: BoundCertificate) -> None:
     print(f"  p_j      = {_fmt(cert.p_j)}")
     print(f"  lambda_m = {_fmt(cert.scalar.lambda_m)}")
     print(f"  tau_ub   = {_fmt(cert.tau_ub)}")
-    if cert.alternate is not None:
-        alt = cert.alternate
-        print(f"  alternate branch {alt.branch.name}: tau_ub = {_fmt(alt.tau_ub)}")
 
 
 def cmd_bound(cfg: ScenarioConfig) -> int:

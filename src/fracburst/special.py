@@ -12,6 +12,12 @@ either returns a value whose relative error is guaranteed below ~4e-11
 or raises the non-convergence error family. No path returns a value
 without its guarantee.
 
+The coefficients 1/Gamma(alpha k + beta) depend on (alpha, beta) only.
+They are computed once per pair, as far as some call has needed them,
+and kept in a small table of recently used pairs; a term is then the
+running 36-digit power |t|^k times the stored |1/Gamma|, so a call on a
+known pair evaluates no Gamma function and no exponential.
+
 Typical usable ranges on the negative axis (raise beyond): alpha=0.3 up
 to |t|~3, alpha=0.5 up to ~6, alpha=0.9 beyond 20. On the positive axis
 the limits are the term cap and the double-precision range itself.
@@ -19,8 +25,10 @@ the limits are the term cap and the double-precision range itself.
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
+import threading
 from decimal import Context, Decimal, localcontext
 from fractions import Fraction
 from typing import Optional
@@ -46,14 +54,23 @@ _MAX_TERMS = 400
 # even if both sides sit at the guarantee.
 _REL_GUARANTEE = 4e-11
 
-# Per-unit-of-ln-magnitude relative error charged to one log-space term
-# (36-digit ln_gamma, then exp); the unit count is |k ln|t|| + |ln G| + 8.
-# Measured worst case at 36 digits is ~6e-35 (3000 random terms against
-# mpmath), so 1e-31 leaves three decades. The companion charge of
-# 2**-100 (~8e-31) of sum |T_k| covers at most 400 additions
-# rounded at 5e-37 relative each. Both are wider than 36 digits need;
-# they fix where the guarantee fails, and the tests pin those points.
+# Per-unit-of-ln-magnitude relative error charged to one term; the unit
+# count is |k ln|t|| + |ln G| + 8. A term is |1/Gamma| (36-digit
+# ln_gamma, then exp: measured worst case ~6e-35 per unit, 3000 random
+# coefficients against mpmath) times |t|^k formed by at most 400
+# multiplications rounded at 5e-36 relative each, 2e-33 in all. Both
+# sit far below the constant floor 8 * 1e-31 that every term is charged,
+# so the charge needs no term for the product. The companion charge of
+# 2**-100 (~8e-31) of sum |T_k| covers at most 400 additions rounded at
+# 5e-37 relative each. Both are wider than 36 digits need; they fix
+# where the guarantee fails, and the tests pin those points.
 _EPS_UNIT = 1e-31
+
+# Coefficient tables: pairs (alpha, beta) kept, and terms added per growth.
+# A small chunk keeps the first call on a pair near the cost of the
+# terms it needs (a coefficient costs about 0.2 ms).
+_TABLE_PAIRS = 32
+_TABLE_CHUNK = 8
 
 _CTX = Context(prec=36)
 # pi to 60 digits; a Decimal literal is exact, arithmetic rounds to _CTX
@@ -135,11 +152,14 @@ def _evaluate(alpha: float, beta: float, t: float) -> tuple[float, float]:
         # one 36-digit value rounded once to double
         return _recip_gamma(beta), 2.0 ** -52
 
-    # Summation in log space at 36 digits: T_k = s * exp(k ln|t| - ln G).
-    # alpha k + beta is formed exactly, so the pole test is exact too.
-    # Both charges are accumulated on terms scaled by 2**-100 (exact), so
-    # they stay finite for terms near the double range.
-    frac_alpha, frac_beta = Fraction(alpha), Fraction(beta)
+    # T_k = s * |t|^k * |1/G|, with |1/G| from the pair's table and |t|^k
+    # a running 36-digit product. alpha k + beta is formed exactly, so the
+    # pole test is exact too. The magnitude guard reads the term's
+    # logarithm k ln|t| + ln|1/G|. Both charges are accumulated on terms
+    # scaled by 2**-100 (exact), so they stay finite for terms near the
+    # double range.
+    table = _coefficients(alpha, beta)
+    coefs = table.terms
     condsum = 0.0
     errsum = 0.0
     consec = 0
@@ -147,24 +167,29 @@ def _evaluate(alpha: float, beta: float, t: float) -> tuple[float, float]:
     prev_abs = 0.0
     ratio = 0.0
     with localcontext(_CTX):
-        lnt = Decimal(abs(t)).ln()
+        abs_t = Decimal(abs(t))
+        lnt = abs_t.ln()
         lnt_float = float(lnt)
+        power = Decimal(1)
         total = Decimal(0)
         for k in range(_MAX_TERMS):
-            recip = _ln_recip_gamma(frac_alpha * k + frac_beta)
-            if recip is None:
+            if k:
+                power *= abs_t
+            if k == len(coefs):
+                coefs = table.grow(k + 1)
+            coef = coefs[k]
+            if coef is None:
                 continue  # pole: reciprocal gamma vanishes
-            ln_recip, lg, negative = recip
+            ln_recip, lg_abs, negative, recip = coef
             negative ^= t < 0.0 and k % 2 == 1
-            ln_term = k * lnt + ln_recip
-            if float(ln_term) > _LN_MAX - 5.0:
+            if float(k * lnt + ln_recip) > _LN_MAX - 5.0:
                 raise _raise_magnitude(t)
-            term = ln_term.exp()
+            term = power * recip
             total += -term if negative else term
             abs_term = float(term)
             scaled = abs_term * 2.0 ** -100
             condsum += scaled
-            errsum += scaled * (abs(k * lnt_float) + abs(float(lg)) + 8.0)
+            errsum += scaled * (abs(k * lnt_float) + lg_abs + 8.0)
             if prev_abs > 0.0 and abs_term > 0.0:
                 ratio = abs_term / prev_abs
             prev_abs = abs_term
@@ -197,13 +222,44 @@ def _evaluate(alpha: float, beta: float, t: float) -> tuple[float, float]:
     return value, abs_bound / abs(value) + tail
 
 
+class _Coefficients:
+    """Series coefficients of one (alpha, beta), computed on first use.
+
+    `terms[k]` is None at a pole, else (ln|1/Gamma(a)|, |ln Gamma| charged
+    for it, 1/Gamma(a) < 0, |1/Gamma(a)|) at a = alpha k + beta. A growth
+    replaces the tuple whole, so a reader never sees a half-built one.
+    """
+
+    def __init__(self, alpha: float, beta: float):
+        self._alpha = Fraction(alpha)
+        self._beta = Fraction(beta)
+        self._lock = threading.Lock()
+        self.terms: tuple = ()
+
+    def grow(self, n: int) -> tuple:
+        """The table extended to at least n terms, in whole chunks."""
+        with self._lock:
+            terms = self.terms
+            if len(terms) < n:
+                stop = min(max(n, len(terms) + _TABLE_CHUNK), _MAX_TERMS)
+                with localcontext(_CTX):
+                    terms += tuple(_coefficient(self._alpha * k + self._beta)
+                                   for k in range(len(terms), stop))
+                self.terms = terms
+            return terms
+
+
+# the table of (alpha, beta), shared by every call on that pair
+_coefficients = functools.lru_cache(maxsize=_TABLE_PAIRS)(_Coefficients)
+
+
 def _recip_gamma(b: float) -> float:
     with localcontext(_CTX):
-        recip = _ln_recip_gamma(Fraction(b))
-        if recip is None:
-            return 0.0
-        ln_mag, _, negative = recip
-        value = float(ln_mag.exp())
+        coef = _coefficient(Fraction(b))
+    if coef is None:
+        return 0.0
+    _, _, negative, mag = coef
+    value = float(mag)
     if math.isinf(value):
         raise OverflowRangeError(f"1/gamma({b}) exceeds the double-precision range")
     return -value if negative else value
@@ -242,6 +298,14 @@ def _ln_recip_gamma(a: Fraction) -> Optional[tuple[Decimal, Decimal, bool]]:
     spi = _sin_pi(a)
     lg = _ln_gamma_hp(_dec(1 - a))
     return lg + abs(spi).ln() - _LN_PI, lg, spi < 0
+
+
+def _coefficient(a: Fraction) -> Optional[tuple[Decimal, float, bool, Decimal]]:
+    recip = _ln_recip_gamma(a)
+    if recip is None:
+        return None
+    ln_recip, lg, negative = recip
+    return ln_recip, abs(float(lg)), negative, ln_recip.exp()
 
 
 def _dec(x: Fraction) -> Decimal:

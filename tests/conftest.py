@@ -59,9 +59,9 @@ def linear_oracle_data():
 
     The exact solution E_alpha(t^alpha) is evaluated at every grid point
     with the package's own series; the guaranteed 4e-11 evaluation error
-    is negligible against the 1e-4 comparison scale. Computed once: the
-    series evaluation dominates (about 65 s for the three alphas, 4097
-    calls each, on a 2-core x86 machine).
+    is negligible against the 1e-4 comparison scale. Computed once, in
+    about 3-4 s on a 2-core x86 machine (three alphas, 4097 series calls
+    and one solve each).
     """
     import numpy as np
 

@@ -199,7 +199,6 @@ def test_example1_branch():
     assert cert.p_j == pytest.approx(5.42)
     assert cert.q_j == 1.5
     assert cert.u_j == 1.2
-    assert cert.alternate is None
 
 
 def test_example2_branch():

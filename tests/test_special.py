@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import decimal
 import math
+import sys
+import threading
 from decimal import Decimal
 from fractions import Fraction
 
@@ -256,10 +258,14 @@ def series_term(alpha, beta, t, k):
     """
     a = Fraction(alpha) * k + Fraction(beta)
     with decimal.localcontext(special._CTX):
-        lnt = Decimal(abs(t)).ln()
-        ln_recip, lg, _ = special._ln_recip_gamma(a)
-        term = (k * lnt + ln_recip).exp()
-    return term, a, abs(k * float(lnt)) + abs(float(lg)) + 8.0
+        abs_t = Decimal(abs(t))
+        power = Decimal(1)
+        for _ in range(k):
+            power *= abs_t
+        _, lg_abs, _, recip = special._coefficient(a)
+        term = power * recip
+        lnt = abs_t.ln()
+    return term, a, abs(k * float(lnt)) + lg_abs + 8.0
 
 
 @pytest.mark.parametrize(
@@ -361,6 +367,81 @@ def test_cap_near_double_range_is_plain_nonconvergence(alpha, beta, t):
     with pytest.raises(NonConvergenceError) as info:
         mittag_leffler(alpha, beta, t)
     assert type(info.value) is NonConvergenceError
+
+
+# ---------------------------------------------------------------------------
+# coefficient table: a call reads each pair's coefficients from a shared,
+# growing table, so its state must never show in a value
+
+@pytest.mark.parametrize(
+    "alpha,beta,small,large",
+    [(0.5, 1.0, 0.25, -5.5), (0.3, 0.3, 0.01, 2.5), (0.8, -1.3, 1e-3, 14.0)],
+)
+def test_cold_and_warm_tables_give_equal_values(alpha, beta, small, large):
+    table = lambda: special._coefficients(alpha, beta).terms
+    special._coefficients.cache_clear()
+    small_cold = mittag_leffler(alpha, beta, small)
+    held = len(table())
+    large_grown = mittag_leffler(alpha, beta, large)
+    assert len(table()) > held  # grown on demand, not filled up front
+    small_warm = mittag_leffler(alpha, beta, small)
+
+    special._coefficients.cache_clear()
+    large_cold = mittag_leffler(alpha, beta, large)
+    small_after_large = mittag_leffler(alpha, beta, small)
+    large_warm = mittag_leffler(alpha, beta, large)
+
+    assert small_cold == small_warm == small_after_large
+    assert large_cold == large_grown == large_warm
+
+
+def test_warm_table_evaluates_no_gamma(monkeypatch):
+    points = [(0.5, 1.0, -3.0), (0.3, -0.6, 0.7), (1.3, 1.0, 3.0)]
+    expected = [mittag_leffler(*p) for p in points]
+
+    def fail(a):
+        raise AssertionError(f"ln 1/Gamma({a}) recomputed")
+
+    monkeypatch.setattr(special, "_ln_recip_gamma", fail)
+    assert [mittag_leffler(*p) for p in points] == expected
+
+
+def test_table_keeps_at_most_its_bound_of_pairs():
+    special._coefficients.cache_clear()
+    for i in range(special._TABLE_PAIRS + 8):
+        mittag_leffler(0.5, 1.0 + i / 64.0, 0.5)
+    info = special._coefficients.cache_info()
+    assert info.maxsize == special._TABLE_PAIRS
+    assert info.currsize == special._TABLE_PAIRS
+
+
+def test_threads_sharing_tables_match_a_sequential_run():
+    points = [(alpha, beta, t)
+              for alpha, beta in ((0.5, 1.0), (0.3, 0.3), (0.8, -1.3), (0.1, 1.0))
+              for t in (1e-3, 0.7, -2.0, 2.5, -1.5)]
+    special._coefficients.cache_clear()
+    expected = [outcome(mittag_leffler, *p) for p in points]
+
+    special._coefficients.cache_clear()
+    results = [None] * 4
+
+    def work(i):
+        order = points if i % 2 == 0 else points[::-1]
+        got = [outcome(mittag_leffler, *p) for p in order]
+        results[i] = got if i % 2 == 0 else got[::-1]
+
+    threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert results == [expected] * 4
 
 
 # ---------------------------------------------------------------------------
