@@ -6,12 +6,21 @@ History sums are exact O(N^2) convolutions evaluated as dot products
 against precomputed weight tables; right-hand-side values are cached so
 each accepted state is evaluated once.
 
+On 2-vectors the per-step cost is numpy call overhead, not arithmetic,
+so each step makes as few numpy calls as it can. The stop test is one
+scalar pass, |x_k| <= min(threshold, float max) for every component k:
+NaN and +-inf fail it even at an infinite threshold, and only the step
+that fails it works out whether the run ended NonFinite or Overflowed.
+One loop serves PowerLawRhs and plain callables alike.
+
 Also carries the L1 discrete Caputo derivative used by the residual and
 inequality tests.
 """
 
 from __future__ import annotations
 
+import operator
+import sys
 from dataclasses import dataclass
 from typing import Callable, Union
 
@@ -57,7 +66,7 @@ class PowerLawRhs:
         object.__setattr__(self, "exponents", p)
 
     def __call__(self, t: float, state: np.ndarray) -> np.ndarray:
-        return t ** self.q * np.prod(state ** self.exponents, axis=1)
+        return t ** self.q * (state ** self.exponents).prod(axis=1)
 
 
 RhsLike = Union[PowerLawRhs, Callable[[float, np.ndarray], np.ndarray]]
@@ -103,8 +112,13 @@ class SolverConfig:
     def __post_init__(self):
         if not (self.T > 0.0):
             raise DomainError(f"horizon T must be positive, got {self.T}")
-        if self.N < 1:
-            raise DomainError(f"step count N must be >= 1, got {self.N}")
+        try:
+            n = operator.index(self.N)
+        except TypeError:
+            raise DomainError(f"step count N must be an int, got {self.N!r}") from None
+        if n < 1:
+            raise DomainError(f"step count N must be >= 1, got {n}")
+        object.__setattr__(self, "N", n)
         if not (self.overflow_threshold > 0.0):
             raise DomainError("overflow threshold must be positive")
 
@@ -165,6 +179,22 @@ def predictor_weight_b(j: int, n: int, alpha: float, h: float) -> float:
     return h ** alpha / alpha * ((n + 1.0 - j) ** alpha - (n - j) ** alpha)
 
 
+def _weight_tables(N: int, alpha: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Predictor and corrector history weights for solve, without the h-factors.
+
+    Returns c1r (len N+1) and c2r (len N), reversed so the history dots
+    run on contiguous slices, and a0 (len N) with a0[n] = a_{0,n+1}, formed
+    with the float operations of corrector_weight_a.
+    """
+    idx = np.arange(N + 2, dtype=float)
+    pw_a = idx ** alpha
+    pw_a1 = idx ** (alpha + 1.0)
+    c1r = (pw_a[1:] - pw_a[:-1])[::-1].copy()
+    c2r = (pw_a1[2:] + pw_a1[:-2] - 2.0 * pw_a1[1:-1])[::-1].copy()
+    a0 = pw_a1[:N] - (idx[:N] - alpha) * pw_a[1:N + 1]
+    return c1r, c2r, a0
+
+
 def solve(spec: SystemSpec, config: SolverConfig) -> Trajectory:
     """Integrate the system on the uniform grid t_n = n*h, h = T/N.
 
@@ -177,54 +207,51 @@ def solve(spec: SystemSpec, config: SolverConfig) -> Trajectory:
     h = config.T / N
     alpha = spec.alpha
     thr = config.overflow_threshold
+    # one scalar test per step: NaN and +-inf fail it even when thr is inf
+    bound = min(thr, sys.float_info.max)
 
     f = spec.rhs
-
-    # weight tables, reversed so history dots run on contiguous slices
-    idx = np.arange(N + 2, dtype=float)
-    pw_a = idx ** alpha
-    pw_a1 = idx ** (alpha + 1.0)
-    c1r = np.ascontiguousarray((pw_a[1:] - pw_a[:-1])[::-1])          # len N+1
-    c2r = np.ascontiguousarray((pw_a1[2:] + pw_a1[:-2] - 2.0 * pw_a1[1:-1])[::-1])  # len N
-
+    x0 = spec.initial_state
+    c1r, c2r, a0 = _weight_tables(N, alpha)
     pred_coef = h ** alpha / alpha / gamma(alpha)
     corr_coef = h ** alpha / gamma(alpha + 2.0)
 
     states = np.empty((N + 1, n_dim))
     fvals = np.empty((N + 1, n_dim))
-    states[0] = spec.initial_state
+    states[0] = x0
 
     def finish(last: int, status: Status) -> Trajectory:
         times = np.arange(last + 1, dtype=float) * h
-        return Trajectory(times=times, states=states[: last + 1].copy(), status=status)
+        kept = states if last == N else states[: last + 1].copy()
+        return Trajectory(times=times, states=kept, status=status)
 
     with np.errstate(all="ignore"):
         fv = f(0.0, states[0])
         if np.shape(fv) != (n_dim,):
             raise DomainError(f"rhs returned shape {np.shape(fv)}, expected ({n_dim},)")
-        if not np.all(np.isfinite(fv)):
+        if not np.isfinite(fv).all():
             return finish(0, NonFinite(step=0))
         fvals[0] = fv
 
         for n in range(N):
             t_next = (n + 1) * h
             hist_p = c1r[N - n:] @ fvals[: n + 1]
-            f_pred = f(t_next, states[0] + pred_coef * hist_p)
-            a0 = pw_a1[n] - (n - alpha) * pw_a[n + 1]
-            hist_c = a0 * fvals[0]
+            f_pred = f(t_next, x0 + pred_coef * hist_p)
+            hist_c = a0[n] * fvals[0]
             if n >= 1:
                 hist_c = hist_c + c2r[N - n:] @ fvals[1: n + 1]
             # a non-finite f_pred makes x_next non-finite: one check covers both
-            x_next = states[0] + corr_coef * (hist_c + f_pred)
-            if not np.all(np.isfinite(x_next)):
-                return finish(n, NonFinite(step=n + 1))
-            states[n + 1] = x_next
-            over = np.abs(x_next) > thr
-            if np.any(over):
+            x_next = x0 + corr_coef * (hist_c + f_pred)
+            if not all(abs(v) <= bound for v in x_next.tolist()):
+                if not np.isfinite(x_next).all():
+                    return finish(n, NonFinite(step=n + 1))
+                states[n + 1] = x_next
+                over = np.abs(x_next) > thr
                 return finish(n + 1, Overflowed(step=n + 1, component=int(np.argmax(over))))
+            states[n + 1] = x_next
             if n + 1 < N:
                 fv = f(t_next, x_next)
-                if not np.all(np.isfinite(fv)):
+                if not np.isfinite(fv).all():
                     return finish(n + 1, NonFinite(step=n + 1))
                 fvals[n + 1] = fv
 

@@ -17,7 +17,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import (
+from paper_tables import (
     BENCH_ALPHAS,
     BENCH_EXAMPLES,
     EXPECTED_TNUM_MISSES,

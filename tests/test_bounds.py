@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import BENCH_ALPHAS, LAMBDA_REF, TAU_REF
+from paper_tables import BENCH_ALPHAS, LAMBDA_REF, TAU_REF
 from fracburst import (
     Branch,
     DomainError,

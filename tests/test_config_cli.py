@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import BENCH_ALPHAS, parse_reproduce_tables
+from paper_tables import BENCH_ALPHAS, parse_reproduce_tables
 from fracburst import (
     ConfigError,
     PowerLawParams,

@@ -16,7 +16,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import BENCH_ALPHAS, BENCH_EXAMPLES, TNUM_REF
+from paper_tables import BENCH_ALPHAS, BENCH_EXAMPLES, TNUM_REF
 from fracburst import (
     Completed,
     DetectionReport,

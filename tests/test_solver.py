@@ -131,6 +131,19 @@ def test_solver_config_validation():
         SolverConfig(T=1.0, N=16, overflow_threshold=0.0)
 
 
+@pytest.mark.parametrize("n", [16.5, 16.0, "16", None])
+def test_solver_config_rejects_non_integer_step_count(n):
+    with pytest.raises(DomainError, match="step count"):
+        SolverConfig(T=1.0, N=n)
+
+
+def test_solver_config_accepts_numpy_step_count():
+    cfg = SolverConfig(T=1.0, N=np.int64(16))
+    assert cfg.N == 16 and type(cfg.N) is int
+    traj = solve(scalar_spec(0.5, lambda t, x: x), cfg)
+    assert traj.states.shape == (17, 1)
+
+
 def test_rhs_shape_error():
     bad = lambda t, x: np.zeros(3)
     with pytest.raises(DomainError, match="shape"):
@@ -240,6 +253,71 @@ def test_nonfinite_rhs_is_reported():
     assert isinstance(traj.status, NonFinite)
     assert traj.status.step == len(traj.times)
     assert np.all(np.isfinite(traj.states))
+
+
+# ---------------------------------------------------------------------------
+# stop rules
+
+@pytest.mark.parametrize("rhs, x0, rows", [
+    # the predicted rhs overflows, so the corrected state is inf
+    (PowerLawRhs(q=np.array([0.0]), exponents=np.array([[2.0]])), 1e100, 1),
+    # the state stays finite and the rhs at the accepted state overflows
+    (lambda t, x: np.where(x <= 1.0, t, np.inf), 1.0, 2),
+])
+def test_infinite_threshold_still_stops_on_overflow_to_inf(rhs, x0, rows):
+    cfg = SolverConfig(T=1.0, N=4, overflow_threshold=math.inf)
+    traj = solve(scalar_spec(0.5, rhs, u0=x0), cfg)
+    assert traj.status == NonFinite(step=1)
+    assert traj.states.shape == (rows, 1)
+    assert np.all(np.isfinite(traj.states))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_nonfinite_state_is_not_an_overflow(bad):
+    # the other component is far over the threshold in the same row
+    def rhs(t, x):
+        return np.array([1e12, bad]) if t > 0.0 else np.zeros(2)
+
+    spec = SystemSpec(alpha=0.5, dimension=2, rhs=rhs, initial_state=np.ones(2))
+    traj = solve(spec, SolverConfig(T=1.0, N=8, overflow_threshold=1e8))
+    assert traj.status == NonFinite(step=1)
+    assert traj.states.shape == (1, 2)
+
+
+@pytest.mark.parametrize("x0", [(-3.0, 2.0), (1.0, 3.0)])
+def test_state_at_the_threshold_is_not_an_overflow(x0):
+    # a zero rhs keeps the state at x0 exactly
+    spec = SystemSpec(alpha=0.5, dimension=2, rhs=lambda t, x: np.zeros(2),
+                      initial_state=np.array(x0))
+    traj = solve(spec, SolverConfig(T=1.0, N=8, overflow_threshold=3.0))
+    assert traj.status == Completed()
+    assert np.all(traj.states == np.array(x0))
+
+
+def test_overflow_in_second_component_alone():
+    spec = SystemSpec(alpha=0.5, dimension=2, rhs=lambda t, x: np.array([0.0, 10.0]),
+                      initial_state=np.ones(2))
+    traj = solve(spec, SolverConfig(T=1.0, N=64, overflow_threshold=5.0))
+    assert isinstance(traj.status, Overflowed)
+    assert traj.status.component == 1
+    assert traj.status.step == len(traj.times) - 1
+    assert traj.states[-1, 0] == 1.0
+    assert traj.states[-1, 1] > 5.0
+    assert np.all(traj.states[:-1, 1] <= 5.0)
+
+
+@pytest.mark.parametrize("rhs, thr, status", [
+    (lambda t, x: x, 1e8, Completed),
+    (lambda t, x: np.array([0.0, 10.0]), 5.0, Overflowed),
+    (lambda t, x: np.array([0.0, math.nan]) if t > 0.5 else np.zeros(2), 1e8, NonFinite),
+    (lambda t, x: np.where(x <= 1.0, t, np.inf), math.inf, NonFinite),
+])
+def test_trajectory_owns_its_states(rhs, thr, status):
+    # a trimmed run copies its rows, so the full N + 1 buffer is not kept alive
+    spec = SystemSpec(alpha=0.5, dimension=2, rhs=rhs, initial_state=np.ones(2))
+    traj = solve(spec, SolverConfig(T=1.0, N=64, overflow_threshold=thr))
+    assert isinstance(traj.status, status)
+    assert traj.states.base is None
 
 
 # ---------------------------------------------------------------------------
