@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Tour of the special-function layer: gamma, Mittag-Leffler, kernel.
+"""Tour of the special-function layer: gamma and Mittag-Leffler.
 
 Walks through the accuracy guarantees the rest of the package leans on:
 the log-gamma recurrence, the exponential limit E_{1,1} = exp, the
@@ -16,7 +16,6 @@ import numpy as np
 
 from fracburst import (
     NonConvergenceError,
-    e_alpha_kernel,
     gamma,
     ln_gamma,
     mittag_leffler,
@@ -69,14 +68,6 @@ def main() -> None:
     except NonConvergenceError as exc:
         print(f"the raise carries the reason, e.g. alpha=0.4, t=-8:")
         print(f"  {exc}")
-
-    banner("the linear-equation kernel")
-    print("e_alpha_kernel(alpha, lambda, a, t) = (a-t)^(alpha-1) "
-          "E_alpha,alpha(lambda (a-t)^alpha)")
-    for lam in (0.0, -0.5, -2.0):
-        vals = [e_alpha_kernel(0.6, lam, 1.0, t) for t in (0.0, 0.25, 0.5, 0.9)]
-        print(f"  lambda={lam:5.1f}:  " + "  ".join(f"{v:9.6f}" for v in vals))
-    print("positive for every lambda <= 0 and t < a, as the bound derivation needs")
 
 
 if __name__ == "__main__":

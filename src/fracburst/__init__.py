@@ -63,7 +63,7 @@ from .solver import (
     predictor_weight_b,
     solve,
 )
-from .special import e_alpha_kernel, gamma, ln_gamma, mittag_leffler
+from .special import gamma, ln_gamma, mittag_leffler
 
 __version__ = "0.1.0"
 
@@ -105,7 +105,6 @@ __all__ = [
     "crossing_time",
     "detect",
     "detection_scenario",
-    "e_alpha_kernel",
     "example_params",
     "gamma",
     "l1_caputo",

@@ -62,6 +62,8 @@ class ScalarBoundProblem:
             raise DomainError(f"alpha must lie in (0, 1), got {self.alpha}")
         if not (self.u0 > 0.0):
             raise DomainError(f"u0 must be positive, got {self.u0}")
+        if math.isinf(self.u0):
+            raise DomainError(f"u0 must be finite, got {self.u0}")
         if not (self.q >= 0.0):
             raise DomainError(f"q must be nonnegative, got {self.q}")
         if self.p == 1.0:
@@ -124,6 +126,10 @@ class PowerLawParams:
             v = getattr(self, name)
             if not (v > 0.0):
                 raise DomainError(f"{name} must be positive, got {v}")
+        # the checks above already reject nan and -inf
+        for name in ("q1", "q2", "p11", "p12", "p21", "p22", "x0", "y0"):
+            if math.isinf(getattr(self, name)):
+                raise DomainError(f"{name} must be finite, got inf")
 
 
 @dataclass(frozen=True)

@@ -13,6 +13,7 @@ wants the trajectory itself need not solve that grid again.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field, replace
 from typing import Optional, Union
 
@@ -37,8 +38,14 @@ class RefinementPolicy:
     budget: int = 5
 
     def __post_init__(self):
-        if not isinstance(self.budget, int) or self.budget < 0:
-            raise DomainError(f"refinement budget must be a nonnegative int, got {self.budget}")
+        message = f"refinement budget must be a nonnegative int, got {self.budget!r}"
+        try:
+            budget = operator.index(self.budget)
+        except TypeError:
+            raise DomainError(message) from None
+        if budget < 0:
+            raise DomainError(message)
+        object.__setattr__(self, "budget", budget)
 
 
 @dataclass(frozen=True)

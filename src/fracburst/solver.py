@@ -19,6 +19,7 @@ inequality tests.
 
 from __future__ import annotations
 
+import math
 import operator
 import sys
 from dataclasses import dataclass
@@ -112,6 +113,8 @@ class SolverConfig:
     def __post_init__(self):
         if not (self.T > 0.0):
             raise DomainError(f"horizon T must be positive, got {self.T}")
+        if math.isinf(self.T):
+            raise DomainError(f"horizon T must be finite, got {self.T}")
         try:
             n = operator.index(self.N)
         except TypeError:

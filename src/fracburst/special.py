@@ -39,7 +39,6 @@ __all__ = [
     "ln_gamma",
     "gamma",
     "mittag_leffler",
-    "e_alpha_kernel",
 ]
 
 _LN_MAX = math.log(sys.float_info.max)  # 709.78...
@@ -263,22 +262,6 @@ def _recip_gamma(b: float) -> float:
     if math.isinf(value):
         raise OverflowRangeError(f"1/gamma({b}) exceeds the double-precision range")
     return -value if negative else value
-
-
-def e_alpha_kernel(alpha: float, lam: float, a: float, t: float) -> float:
-    """(a-t)^(alpha-1) * E_{alpha,alpha}(lam (a-t)^alpha) for t < a.
-
-    Strictly positive whenever lam <= 0; used as the comparison kernel in
-    the positivity arguments behind the blow-up bound.
-    """
-    alpha = float(alpha)
-    if not (0.0 < alpha <= 1.0):
-        raise DomainError(f"e_alpha_kernel requires alpha in (0, 1], got {alpha}")
-    if not (t < a):
-        raise DomainError(f"e_alpha_kernel requires t < a, got t={t}, a={a}")
-    gap = a - t
-    arg = lam * gap ** alpha
-    return gap ** (alpha - 1.0) * mittag_leffler(alpha, alpha, arg)
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,12 @@
 """Shared fixtures for the expensive end-to-end runs.
 
-The twelve benchmark detection ladders, the fixed-grid threshold sweep,
-and one captured reproduce run dominate suite runtime, so each is
-computed once per session and shared. A terminal-summary hook prints one
-line per acceptance criterion based on the recorded test outcomes.
+The twelve benchmark detection ladders and the fixed-grid threshold
+sweep dominate suite runtime, so each is computed once per session and
+shared. The ladders are computed by one captured reproduce run: a
+recorder in place of the cli's detect keeps each result, and those
+results serve both the reproduce tables and the detection rows. A
+terminal-summary hook prints one line per acceptance criterion based on
+the recorded test outcomes.
 """
 
 from __future__ import annotations
@@ -65,20 +68,21 @@ def linear_oracle_data():
 
 
 @pytest.fixture(scope="session")
-def detection_rows():
-    """(example, alpha) -> (scenario, detection result) plus total wall time."""
+def detection_rows(_recorded_reproduce):
+    """(example, alpha) -> (scenario, detection result) plus total wall time.
+
+    The results are the ones cmd_reproduce computed, so the twelve ladders
+    are not solved again; the wall time is the sum of their detect calls.
+    """
+    _, recorded = _recorded_reproduce
     rows = {}
-    t0 = time.perf_counter()
+    elapsed = 0.0
     for example in BENCH_EXAMPLES:
         for alpha in BENCH_ALPHAS:
             scenario = detection_scenario(example, alpha)
-            result = detect(
-                system_spec(scenario.params),
-                scenario.base_config,
-                RefinementPolicy(),
-            )
+            result, seconds = recorded[scenario.base_config]
             rows[(example, alpha)] = (scenario, result)
-    elapsed = time.perf_counter() - t0
+            elapsed += seconds
     return rows, elapsed
 
 
@@ -107,17 +111,43 @@ def robustness_deltas():
 
 
 @pytest.fixture(scope="session")
-def reproduce_run(tmp_path_factory):
-    """One cmd_reproduce run: (stdout text, out_dir, exit code, wall time)."""
+def _recorded_reproduce(tmp_path_factory):
+    """One cmd_reproduce run, with each detect call it makes recorded.
+
+    Returns ((stdout text, out_dir, exit code, wall time), recorded), where
+    recorded maps the SolverConfig each detect call received to (result,
+    seconds). The twelve benchmark rows' horizons all differ, so their
+    configs are distinct keys.
+    """
     from fracburst import cli
+
+    calls = []
+
+    def recording_detect(spec, config, *args, **kwargs):
+        t0 = time.perf_counter()
+        result = detect(spec, config, *args, **kwargs)
+        calls.append((config, result, time.perf_counter() - t0))
+        return result
 
     out_dir = tmp_path_factory.mktemp("reproduce")
     buf = io.StringIO()
-    t0 = time.perf_counter()
-    with redirect_stdout(buf):
-        code = cli.cmd_reproduce(out_dir=out_dir)
-    elapsed = time.perf_counter() - t0
-    return buf.getvalue(), out_dir, code, elapsed
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli, "detect", recording_detect)
+        t0 = time.perf_counter()
+        with redirect_stdout(buf):
+            code = cli.cmd_reproduce(out_dir=out_dir)
+        elapsed = time.perf_counter() - t0
+    recorded = {config: (result, seconds) for config, result, seconds in calls}
+    expected = len(BENCH_EXAMPLES) * len(BENCH_ALPHAS)
+    assert len(calls) == len(recorded) == expected, len(calls)
+    return (buf.getvalue(), out_dir, code, elapsed), recorded
+
+
+@pytest.fixture(scope="session")
+def reproduce_run(_recorded_reproduce):
+    """One cmd_reproduce run: (stdout text, out_dir, exit code, wall time)."""
+    run, _ = _recorded_reproduce
+    return run
 
 
 @pytest.fixture(scope="session")

@@ -9,6 +9,7 @@ table match cannot hide a formula error that happens to cancel.
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -71,6 +72,8 @@ def test_scalar_problem_accepts_benchmark_like_input():
         (dict(alpha=0.5, u0=1.0, q=0.0, p=1.0), "infinite conjugate index"),
         (dict(alpha=0.5, u0=1.0, q=0.0, p=0.7), "p must exceed 1"),
         (dict(alpha=0.5, u0=1.0, q=3.0, p=1.2), "inadmissible"),
+        (dict(alpha=0.5, u0=math.inf, q=0.0, p=2.0), "u0 must be finite"),
+        (dict(alpha=0.5, u0=math.nan, q=0.0, p=2.0), "u0 must be positive"),
     ],
 )
 def test_scalar_problem_rejects(kwargs, match):
@@ -232,6 +235,29 @@ def test_all_ones_not_applicable():
     assert "p_22 >= 3 + p_11 fails" in joined
     assert "p_12 >= 3 + p_21 fails" in joined
     assert "admissibility" in joined
+
+
+@pytest.mark.parametrize(
+    "field", ["alpha", "q1", "q2", "p11", "p12", "p21", "p22", "x0", "y0"]
+)
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_params_reject_non_finite(field, value):
+    # an infinite x0 used to pass and certify tau_ub = 0.0
+    fields = dict(zip(("q1", "q2", "p11", "p12", "p21", "p22", "x0", "y0"),
+                      (0.5, 0.5, 1.0, 3.0, 2.0, 4.0, 1.0, 1.0)))
+    fields.update({"alpha": 0.5, field: value})
+    with pytest.raises(DomainError, match=field):
+        PowerLawParams(**fields)
+
+
+def test_params_keep_range_messages():
+    base = example_params(3, 0.5)
+    with pytest.raises(DomainError, match=r"^x0 must be positive, got 0\.0$"):
+        replace(base, x0=0.0)
+    with pytest.raises(DomainError, match=r"^p12 must be nonnegative, got -1\.0$"):
+        replace(base, p12=-1.0)
+    with pytest.raises(DomainError, match=r"^y0 must be finite, got inf$"):
+        replace(base, y0=math.inf)
 
 
 def test_alpha_one_builds_but_has_no_bound():

@@ -99,6 +99,15 @@ def test_refinement_policy_validation():
         RefinementPolicy(-1)
     with pytest.raises(DomainError):
         RefinementPolicy(2.5)
+    for budget in (2.0, "2", None, np.float64(2.0), np.int64(-1)):
+        with pytest.raises(DomainError, match="must be a nonnegative int"):
+            RefinementPolicy(budget)
+
+
+def test_refinement_policy_accepts_numpy_int():
+    # numpy ints pass, as they do for SolverConfig's N, and are stored as int
+    policy = RefinementPolicy(np.int64(2))
+    assert type(policy.budget) is int and policy == RefinementPolicy(2)
 
 
 # ---------------------------------------------------------------------------

@@ -129,6 +129,11 @@ def test_solver_config_validation():
         SolverConfig(T=1.0, N=0)
     with pytest.raises(DomainError):
         SolverConfig(T=1.0, N=16, overflow_threshold=0.0)
+    # an infinite T used to pass, and solve returned times == [nan]; an
+    # infinite threshold stays allowed
+    with pytest.raises(DomainError, match="horizon T must be finite, got inf"):
+        SolverConfig(T=math.inf, N=4)
+    assert SolverConfig(T=1.0, N=4, overflow_threshold=math.inf).overflow_threshold == math.inf
 
 
 @pytest.mark.parametrize("n", [16.5, 16.0, "16", None])

@@ -24,7 +24,6 @@ from fracburst import (
     NonConvergenceError,
     OverflowRangeError,
     PrecisionLossError,
-    e_alpha_kernel,
     gamma,
     ln_gamma,
     mittag_leffler,
@@ -180,11 +179,12 @@ def test_caller_decimal_context_is_ignored():
     # trapping caller context must change neither values nor raises
     points = [(0.5, 1.0, -1.0), (0.3, -0.6, 0.7), (0.5, -0.5, 0.0),
               (0.6, 2.0, -16.0), (0.4, 1.0, -4.5), (1.3, 1.0, 3.0)]
+    # two points (alpha, lam, a, t) of the kernel E_{alpha,alpha}(lam (a-t)^alpha)
     kernels = [(0.6, -2.0, 1.0, 0.25), (0.3, -0.5, 2.0, 1.5)]
+    points += [(alpha, alpha, lam * (a - t) ** alpha) for alpha, lam, a, t in kernels]
 
     def evaluate():
-        return ([outcome(mittag_leffler, *p) for p in points]
-                + [outcome(e_alpha_kernel, *k) for k in kernels])
+        return [outcome(mittag_leffler, *p) for p in points]
 
     expected = evaluate()
     caller = decimal.Context(prec=5, rounding=decimal.ROUND_DOWN)
@@ -445,7 +445,8 @@ def test_threads_sharing_tables_match_a_sequential_run():
 
 
 # ---------------------------------------------------------------------------
-# kernel
+# kernel of the linear equation: (a-t)^(alpha-1) E_{alpha,alpha}(lam (a-t)^alpha)
+# for t < a; its power factor is positive, so its sign is that of E_{alpha,alpha}
 
 @pytest.mark.parametrize(
     "alpha,lam,a,t,expected",
@@ -455,31 +456,12 @@ def test_threads_sharing_tables_match_a_sequential_run():
     ],
 )
 def test_kernel_values(alpha, lam, a, t, expected):
-    assert e_alpha_kernel(alpha, lam, a, t) == pytest.approx(expected, rel=1e-12)
-
-
-def test_kernel_reduces_to_series():
-    # (a-t)^(alpha-1) E_{alpha,alpha}(lam (a-t)^alpha)
-    alpha, lam, a, t = 0.5, -1.0, 2.0, 1.0
-    v = e_alpha_kernel(alpha, lam, a, t)
-    assert v > 0.0
-    direct = (a - t) ** (alpha - 1.0) * mittag_leffler(
-        alpha, alpha, lam * (a - t) ** alpha
-    )
-    assert v == pytest.approx(direct, rel=1e-12)
+    value = mittag_leffler(alpha, alpha, lam * (a - t) ** alpha)
+    assert value == pytest.approx(expected, rel=1e-12)
 
 
 def test_kernel_positive_for_nonpositive_lambda():
     for alpha in (0.3, 0.6, 1.0):
         for lam in (0.0, -0.5, -2.0):
             for a, t in ((1.0, 0.0), (2.0, 1.5), (0.7, 0.69)):
-                assert e_alpha_kernel(alpha, lam, a, t) > 0.0
-
-
-def test_kernel_domain():
-    with pytest.raises(DomainError):
-        e_alpha_kernel(0.5, -1.0, 1.0, 1.0)
-    with pytest.raises(DomainError):
-        e_alpha_kernel(0.5, -1.0, 1.0, 2.0)
-    with pytest.raises(DomainError):
-        e_alpha_kernel(1.5, -1.0, 1.0, 0.0)
+                assert mittag_leffler(alpha, alpha, lam * (a - t) ** alpha) > 0.0
