@@ -25,8 +25,6 @@ from .bounds import (
 from .config import ScenarioConfig, load_config, parse_config
 from .detect import (
     DetectionReport,
-    DetectionResult,
-    NoCrossing,
     RefinementPolicy,
     crossing_time,
     detect,
@@ -43,7 +41,6 @@ from .errors import (
 )
 from .scenarios import (
     EXAMPLE_ALPHAS,
-    EXAMPLE_NAMES,
     Scenario,
     detection_scenario,
     example_params,
@@ -75,12 +72,9 @@ __all__ = [
     "Completed",
     "ConfigError",
     "DetectionReport",
-    "DetectionResult",
     "DomainError",
     "EXAMPLE_ALPHAS",
-    "EXAMPLE_NAMES",
     "FracburstError",
-    "NoCrossing",
     "NonConvergenceError",
     "NonFinite",
     "NotApplicableError",

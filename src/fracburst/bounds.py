@@ -62,8 +62,6 @@ class ScalarBoundProblem:
             raise DomainError(f"alpha must lie in (0, 1), got {self.alpha}")
         if not (self.u0 > 0.0):
             raise DomainError(f"u0 must be positive, got {self.u0}")
-        if math.isinf(self.u0):
-            raise DomainError(f"u0 must be finite, got {self.u0}")
         if not (self.q >= 0.0):
             raise DomainError(f"q must be nonnegative, got {self.q}")
         if self.p == 1.0:
@@ -72,6 +70,10 @@ class ScalarBoundProblem:
             )
         if not (self.p > 1.0):
             raise DomainError(f"p must exceed 1, got {self.p}")
+        # the checks above already reject nan and -inf
+        for name in ("u0", "q", "p"):
+            if math.isinf(getattr(self, name)):
+                raise DomainError(f"{name} must be finite, got inf")
         p_tilde = conjugate_index(self.p)
         if not (self.q + 1.0 > self.q * p_tilde):
             raise DomainError(

@@ -25,7 +25,7 @@ from .bounds import (
     theorem_bound,
 )
 from .config import ScenarioConfig, load_config
-from .detect import NoCrossing, detect
+from .detect import detect
 from .errors import (
     ConfigError,
     DomainError,
@@ -142,9 +142,9 @@ def cmd_detect(cfg: ScenarioConfig) -> int:
     for params in cfg.systems:
         alpha = params.alpha
         result = detect(system_spec(params), solver_cfg, cfg.policy)
-        if isinstance(result, NoCrossing):
+        if result.t_num is None:
             print(f"alpha={alpha:g}: no crossing in [0, {solver_cfg.T:g}] "
-                  f"at finest N = {result.finest_n}")
+                  f"at finest N = {result.runs[-1][0]}")
             continue
         state = "converged" if result.converged else "budget exhausted"
         print(f"alpha={alpha:g}: t_num = {_fmt(result.t_num)} "
@@ -204,7 +204,6 @@ class _ReproRow:
     lambda_m: Optional[float] = None
     t_num: Optional[float] = None
     tau_ub: Optional[float] = None
-    no_crossing: bool = False
     error: Optional[str] = None
 
 
@@ -220,10 +219,7 @@ def _reproduce_row(example: int, alpha: float, base_n: int, out_dir: Path) -> _R
         row.tau_ub = scenario.certificate.tau_ub
         row.lambda_m = scenario.certificate.scalar.lambda_m
         result = detect(system_spec(scenario.params), scenario.base_config)
-        if isinstance(result, NoCrossing):
-            row.no_crossing = True
-        else:
-            row.t_num = result.t_num
+        row.t_num = result.t_num
         trajectory = result.trajectory
         csv_path = out_dir / f"{scenario.name}.csv"
         _write_csv(csv_path, trajectory.times, trajectory.states)
@@ -253,7 +249,7 @@ def cmd_reproduce(out_dir: Path = Path("."), base_n: int = 4096) -> int:
             if row.error is not None:
                 cells += ["error", "-", "-"]
                 any_error = True
-            elif row.no_crossing:
+            elif row.t_num is None:
                 cells += ["no crossing", _fmt(row.tau_ub), "-"]
             else:
                 sound = row.t_num < row.tau_ub

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, field, replace
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 
@@ -25,7 +25,6 @@ from .solver import NonFinite, SolverConfig, SystemSpec, Trajectory, solve
 __all__ = [
     "RefinementPolicy",
     "DetectionReport",
-    "NoCrossing",
     "crossing_time",
     "detect",
 ]
@@ -50,22 +49,13 @@ class RefinementPolicy:
 
 @dataclass(frozen=True)
 class DetectionReport:
-    t_num: float
+    """t_num is None when the finest grid does not cross the threshold."""
+
+    t_num: Optional[float]
     uncertainty: float
     runs: tuple[tuple[int, Optional[float]], ...]
     converged: bool
     trajectory: Trajectory = field(compare=False, repr=False)
-
-
-@dataclass(frozen=True)
-class NoCrossing:
-    horizon: float
-    finest_n: int
-    runs: tuple[tuple[int, Optional[float]], ...]
-    trajectory: Trajectory = field(compare=False, repr=False)
-
-
-DetectionResult = Union[DetectionReport, NoCrossing]
 
 
 def _crossing_index(trajectory: Trajectory, threshold: float) -> Optional[int]:
@@ -89,14 +79,14 @@ def detect(
     spec: SystemSpec,
     base_config: SolverConfig,
     policy: RefinementPolicy = RefinementPolicy(),
-) -> DetectionResult:
+) -> DetectionReport:
     """Estimate the blow-up time of spec's system on [0, T].
 
     Runs solve at N, 2N, 4N, ... and stops once the crossing moves by at
     most one coarse cell: with crossing index k on the finer grid and k'
     on the coarser one, when |k - 2k'| <= 2 (inclusive, compared as
-    integers). A completed finest run with no crossing yields NoCrossing
-    rather than an error.
+    integers). A completed finest run with no crossing yields a report
+    with t_num None and converged False rather than an error.
     """
     threshold = base_config.overflow_threshold
     runs: list[tuple[int, Optional[float]]] = []
@@ -116,17 +106,10 @@ def detect(
             break
         prev_k = k
 
-    if crossing is None:
-        if isinstance(trajectory.status, NonFinite):
-            raise NonConvergenceError(
-                "trajectory lost finiteness before any threshold crossing; "
-                "the system may be outside the representable range"
-            )
-        return NoCrossing(
-            horizon=base_config.T,
-            finest_n=runs[-1][0],
-            runs=tuple(runs),
-            trajectory=trajectory,
+    if crossing is None and isinstance(trajectory.status, NonFinite):
+        raise NonConvergenceError(
+            "trajectory lost finiteness before any threshold crossing; "
+            "the system may be outside the representable range"
         )
     return DetectionReport(
         t_num=crossing,

@@ -17,7 +17,6 @@ from .solver import PowerLawRhs, SolverConfig, SystemSpec
 
 __all__ = [
     "EXAMPLE_ALPHAS",
-    "EXAMPLE_NAMES",
     "Scenario",
     "example_params",
     "system_spec",
@@ -25,7 +24,6 @@ __all__ = [
 ]
 
 EXAMPLE_ALPHAS = (0.1, 0.4, 0.6, 0.9)
-EXAMPLE_NAMES = {1: "example1", 2: "example2", 3: "example3"}
 
 # (q1, q2, p11, p12, p21, p22, x0, y0)
 _EXAMPLES = {
@@ -80,7 +78,7 @@ def detection_scenario(example: int, alpha: float, base_n: int = 4096) -> Scenar
     cert = theorem_bound(params)
     config = SolverConfig(T=_HORIZON_MARGIN * cert.tau_ub, N=base_n)
     return Scenario(
-        name=f"{EXAMPLE_NAMES[example]}_alpha{alpha:g}",
+        name=f"example{example}_alpha{alpha:g}",
         params=params,
         certificate=cert,
         base_config=config,

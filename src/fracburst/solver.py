@@ -59,6 +59,8 @@ class PowerLawRhs:
             raise DomainError(
                 f"exponent matrix must be (n, n) matching q, got {p.shape} vs {q.shape}"
             )
+        if not (np.isfinite(q).all() and np.isfinite(p).all()):
+            raise DomainError("power-law exponents must be finite")
         if np.any(q < 0.0) or np.any(p < 0.0):
             raise DomainError("power-law exponents must be nonnegative")
         q.setflags(write=False)

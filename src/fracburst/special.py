@@ -12,11 +12,11 @@ either returns a value whose relative error is guaranteed below ~4e-11
 or raises the non-convergence error family. No path returns a value
 without its guarantee.
 
-The coefficients 1/Gamma(alpha k + beta) depend on (alpha, beta) only.
-They are computed once per pair, as far as some call has needed them,
-and kept in a small table of recently used pairs; a term is then the
-running 36-digit power |t|^k times the stored |1/Gamma|, so a call on a
-known pair evaluates no Gamma function and no exponential.
+The coefficient 1/Gamma(alpha k + beta) of term k depends on (alpha,
+beta, k) only. Each one is memoized by functools.lru_cache, bounded at
+32 pairs' worth of terms and shared by every caller; a term is then the
+running 36-digit power |t|^k times the cached |1/Gamma|, so a call on
+known terms evaluates no Gamma function and no exponential.
 
 Typical usable ranges on the negative axis (raise beyond): alpha=0.3 up
 to |t|~3, alpha=0.5 up to ~6, alpha=0.9 beyond 20. On the positive axis
@@ -28,7 +28,6 @@ from __future__ import annotations
 import functools
 import math
 import sys
-import threading
 from decimal import Context, Decimal, localcontext
 from fractions import Fraction
 from typing import Optional
@@ -65,11 +64,9 @@ _REL_GUARANTEE = 4e-11
 # where the guarantee fails, and the tests pin those points.
 _EPS_UNIT = 1e-31
 
-# Coefficient tables: pairs (alpha, beta) kept, and terms added per growth.
-# A small chunk keeps the first call on a pair near the cost of the
-# terms it needs (a coefficient costs about 0.2 ms).
-_TABLE_PAIRS = 32
-_TABLE_CHUNK = 8
+# Coefficients memoized: 32 pairs (alpha, beta) that each reach the term
+# cap (a coefficient costs about 0.2 ms to compute).
+_CACHED_TERMS = 32 * _MAX_TERMS
 
 _CTX = Context(prec=36)
 # pi to 60 digits; a Decimal literal is exact, arithmetic rounds to _CTX
@@ -148,17 +145,22 @@ def _raise_magnitude(t: float) -> NonConvergenceError:
 def _evaluate(alpha: float, beta: float, t: float) -> tuple[float, float]:
     """Sum the series; return (value, guaranteed relative error bound)."""
     if t == 0.0:
-        # one 36-digit value rounded once to double
-        return _recip_gamma(beta), 2.0 ** -52
+        # term 0, 1/Gamma(beta): one 36-digit value rounded once to double
+        coef = _coefficient(alpha, beta, 0)
+        if coef is None:
+            return 0.0, 2.0 ** -52
+        _, _, negative, mag = coef
+        value = float(mag)
+        if math.isinf(value):
+            raise OverflowRangeError(f"1/gamma({beta}) exceeds the double-precision range")
+        return (-value if negative else value), 2.0 ** -52
 
-    # T_k = s * |t|^k * |1/G|, with |1/G| from the pair's table and |t|^k
+    # T_k = s * |t|^k * |1/G|, with |1/G| from _coefficient and |t|^k
     # a running 36-digit product. alpha k + beta is formed exactly, so the
     # pole test is exact too. The magnitude guard reads the term's
     # logarithm k ln|t| + ln|1/G|. Both charges are accumulated on terms
     # scaled by 2**-100 (exact), so they stay finite for terms near the
     # double range.
-    table = _coefficients(alpha, beta)
-    coefs = table.terms
     condsum = 0.0
     errsum = 0.0
     consec = 0
@@ -174,9 +176,7 @@ def _evaluate(alpha: float, beta: float, t: float) -> tuple[float, float]:
         for k in range(_MAX_TERMS):
             if k:
                 power *= abs_t
-            if k == len(coefs):
-                coefs = table.grow(k + 1)
-            coef = coefs[k]
+            coef = _coefficient(alpha, beta, k)
             if coef is None:
                 continue  # pole: reciprocal gamma vanishes
             ln_recip, lg_abs, negative, recip = coef
@@ -221,47 +221,19 @@ def _evaluate(alpha: float, beta: float, t: float) -> tuple[float, float]:
     return value, abs_bound / abs(value) + tail
 
 
-class _Coefficients:
-    """Series coefficients of one (alpha, beta), computed on first use.
+@functools.lru_cache(maxsize=_CACHED_TERMS)
+def _coefficient(alpha: float, beta: float, k: int) -> Optional[tuple[Decimal, float, bool, Decimal]]:
+    """Coefficient of term k of E_{alpha,beta}, computed once and shared.
 
-    `terms[k]` is None at a pole, else (ln|1/Gamma(a)|, |ln Gamma| charged
-    for it, 1/Gamma(a) < 0, |1/Gamma(a)|) at a = alpha k + beta. A growth
-    replaces the tuple whole, so a reader never sees a half-built one.
+    None at a pole, else (ln|1/Gamma(a)|, |ln Gamma| charged for it,
+    1/Gamma(a) < 0, |1/Gamma(a)|) at a = alpha k + beta, formed exactly.
     """
-
-    def __init__(self, alpha: float, beta: float):
-        self._alpha = Fraction(alpha)
-        self._beta = Fraction(beta)
-        self._lock = threading.Lock()
-        self.terms: tuple = ()
-
-    def grow(self, n: int) -> tuple:
-        """The table extended to at least n terms, in whole chunks."""
-        with self._lock:
-            terms = self.terms
-            if len(terms) < n:
-                stop = min(max(n, len(terms) + _TABLE_CHUNK), _MAX_TERMS)
-                with localcontext(_CTX):
-                    terms += tuple(_coefficient(self._alpha * k + self._beta)
-                                   for k in range(len(terms), stop))
-                self.terms = terms
-            return terms
-
-
-# the table of (alpha, beta), shared by every call on that pair
-_coefficients = functools.lru_cache(maxsize=_TABLE_PAIRS)(_Coefficients)
-
-
-def _recip_gamma(b: float) -> float:
     with localcontext(_CTX):
-        coef = _coefficient(Fraction(b))
-    if coef is None:
-        return 0.0
-    _, _, negative, mag = coef
-    value = float(mag)
-    if math.isinf(value):
-        raise OverflowRangeError(f"1/gamma({b}) exceeds the double-precision range")
-    return -value if negative else value
+        recip = _ln_recip_gamma(Fraction(alpha) * k + Fraction(beta))
+        if recip is None:
+            return None
+        ln_recip, lg, negative = recip
+        return ln_recip, abs(float(lg)), negative, ln_recip.exp()
 
 
 # ---------------------------------------------------------------------------
@@ -281,14 +253,6 @@ def _ln_recip_gamma(a: Fraction) -> Optional[tuple[Decimal, Decimal, bool]]:
     spi = _sin_pi(a)
     lg = _ln_gamma_hp(_dec(1 - a))
     return lg + abs(spi).ln() - _LN_PI, lg, spi < 0
-
-
-def _coefficient(a: Fraction) -> Optional[tuple[Decimal, float, bool, Decimal]]:
-    recip = _ln_recip_gamma(a)
-    if recip is None:
-        return None
-    ln_recip, lg, negative = recip
-    return ln_recip, abs(float(lg)), negative, ln_recip.exp()
 
 
 def _dec(x: Fraction) -> Decimal:

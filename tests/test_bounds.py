@@ -74,6 +74,10 @@ def test_scalar_problem_accepts_benchmark_like_input():
         (dict(alpha=0.5, u0=1.0, q=3.0, p=1.2), "inadmissible"),
         (dict(alpha=0.5, u0=math.inf, q=0.0, p=2.0), "u0 must be finite"),
         (dict(alpha=0.5, u0=math.nan, q=0.0, p=2.0), "u0 must be positive"),
+        # an infinite q or p used to fail the admissibility test with
+        # "q*p_tilde = inf" or "= nan", naming the wrong cause
+        (dict(alpha=0.5, u0=1.0, q=math.inf, p=2.0), r"^q must be finite, got inf$"),
+        (dict(alpha=0.5, u0=1.0, q=0.5, p=math.inf), r"^p must be finite, got inf$"),
     ],
 )
 def test_scalar_problem_rejects(kwargs, match):

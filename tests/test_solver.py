@@ -114,6 +114,13 @@ def test_power_law_rhs_validation():
         PowerLawRhs(q=np.array([-0.5]), exponents=np.array([[1.0]]))
     with pytest.raises(DomainError):
         PowerLawRhs(q=np.array([0.5]), exponents=np.array([[-1.0]]))
+    # non-finite exponents used to pass, and solve returned Completed()
+    # on a meaningless trajectory
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(DomainError, match="exponents must be finite"):
+            PowerLawRhs(q=np.array([bad]), exponents=np.array([[1.0]]))
+        with pytest.raises(DomainError, match="exponents must be finite"):
+            PowerLawRhs(q=np.array([0.5]), exponents=np.array([[bad]]))
 
 
 def test_power_law_needs_positive_initial_state():

@@ -262,7 +262,7 @@ def series_term(alpha, beta, t, k):
         power = Decimal(1)
         for _ in range(k):
             power *= abs_t
-        _, lg_abs, _, recip = special._coefficient(a)
+        _, lg_abs, _, recip = special._coefficient(alpha, beta, k)
         term = power * recip
         lnt = abs_t.ln()
     return term, a, abs(k * float(lnt)) + lg_abs + 8.0
@@ -300,21 +300,22 @@ def test_series_term_within_error_budget(alpha, beta, t, k):
      -0.5, -1.5, -2.3, -0.6, -0.999, -10.7, -33.2, -100.25],
 )
 def test_recip_gamma_against_mpmath(b):
+    # E_{alpha,b}(0) = 1/Gamma(b)
     exact = mpmath.rgamma(mpmath.mpf(b))
-    rel = float(abs((special._recip_gamma(b) - exact) / exact))
+    rel = float(abs((mittag_leffler(0.5, b, 0.0) - exact) / exact))
     # formed at 36 digits for either sign of b and rounded once to double
     assert rel <= 1.2e-16
 
 
 @pytest.mark.parametrize("b", [0.0, -1.0, -5.0])
 def test_recip_gamma_poles(b):
-    assert special._recip_gamma(b) == 0.0
+    assert mittag_leffler(0.5, b, 0.0) == 0.0
 
 
 def test_recip_gamma_overflow():
-    assert math.isfinite(special._recip_gamma(-170.5))
+    assert math.isfinite(mittag_leffler(0.5, -170.5, 0.0))
     with pytest.raises(OverflowRangeError):
-        special._recip_gamma(-200.5)
+        mittag_leffler(0.5, -200.5, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -370,23 +371,23 @@ def test_cap_near_double_range_is_plain_nonconvergence(alpha, beta, t):
 
 
 # ---------------------------------------------------------------------------
-# coefficient table: a call reads each pair's coefficients from a shared,
-# growing table, so its state must never show in a value
+# coefficient cache: a call reads each term's coefficient from a shared,
+# bounded cache, so its state must never show in a value
 
 @pytest.mark.parametrize(
     "alpha,beta,small,large",
     [(0.5, 1.0, 0.25, -5.5), (0.3, 0.3, 0.01, 2.5), (0.8, -1.3, 1e-3, 14.0)],
 )
 def test_cold_and_warm_tables_give_equal_values(alpha, beta, small, large):
-    table = lambda: special._coefficients(alpha, beta).terms
-    special._coefficients.cache_clear()
+    held = lambda: special._coefficient.cache_info().currsize
+    special._coefficient.cache_clear()
     small_cold = mittag_leffler(alpha, beta, small)
-    held = len(table())
+    small_terms = held()
     large_grown = mittag_leffler(alpha, beta, large)
-    assert len(table()) > held  # grown on demand, not filled up front
+    assert held() > small_terms  # computed on demand, not filled up front
     small_warm = mittag_leffler(alpha, beta, small)
 
-    special._coefficients.cache_clear()
+    special._coefficient.cache_clear()
     large_cold = mittag_leffler(alpha, beta, large)
     small_after_large = mittag_leffler(alpha, beta, small)
     large_warm = mittag_leffler(alpha, beta, large)
@@ -407,22 +408,27 @@ def test_warm_table_evaluates_no_gamma(monkeypatch):
 
 
 def test_table_keeps_at_most_its_bound_of_pairs():
-    special._coefficients.cache_clear()
-    for i in range(special._TABLE_PAIRS + 8):
-        mittag_leffler(0.5, 1.0 + i / 64.0, 0.5)
-    info = special._coefficients.cache_info()
-    assert info.maxsize == special._TABLE_PAIRS
-    assert info.currsize == special._TABLE_PAIRS
+    # one pair more than the bound, each summed to the term cap: the
+    # cache must evict rather than grow
+    special._coefficient.cache_clear()
+    pairs = special._CACHED_TERMS // special._MAX_TERMS + 1
+    for i in range(pairs):
+        with pytest.raises(NonConvergenceError, match="within 400 terms"):
+            mittag_leffler(0.1, 1.0 + i / 64.0, 1.5)
+    info = special._coefficient.cache_info()
+    assert info.misses == pairs * special._MAX_TERMS > info.maxsize
+    assert info.maxsize == special._CACHED_TERMS
+    assert info.currsize == info.maxsize
 
 
 def test_threads_sharing_tables_match_a_sequential_run():
     points = [(alpha, beta, t)
               for alpha, beta in ((0.5, 1.0), (0.3, 0.3), (0.8, -1.3), (0.1, 1.0))
               for t in (1e-3, 0.7, -2.0, 2.5, -1.5)]
-    special._coefficients.cache_clear()
+    special._coefficient.cache_clear()
     expected = [outcome(mittag_leffler, *p) for p in points]
 
-    special._coefficients.cache_clear()
+    special._coefficient.cache_clear()
     results = [None] * 4
 
     def work(i):
