@@ -6,109 +6,24 @@ scalar machinery beneath it), and the predictor-corrector solver with
 grid-doubling blow-up detection (solve, detect). scenarios wires the three
 built-in benchmark systems through all layers; cli exposes them as a
 command-line tool.
+
+The public API is the union of the library modules' `__all__` lists, so
+each public name is written once, in its own module. No two modules
+export the same name; tests/test_hygiene.py checks that.
 """
 
 from __future__ import annotations
 
-from .bounds import (
-    BoundCertificate,
-    Branch,
-    PowerLawParams,
-    ScalarBoundProblem,
-    ScalarBoundResult,
-    b_domain_lower,
-    big_B,
-    conjugate_index,
-    tau_bound,
-    theorem_bound,
-)
-from .config import ScenarioConfig, load_config, parse_config
-from .detect import (
-    DetectionReport,
-    RefinementPolicy,
-    crossing_time,
-    detect,
-)
-from .errors import (
-    BracketingError,
-    ConfigError,
-    DomainError,
-    FracburstError,
-    NonConvergenceError,
-    NotApplicableError,
-    OverflowRangeError,
-    PrecisionLossError,
-)
-from .scenarios import (
-    EXAMPLE_ALPHAS,
-    Scenario,
-    detection_scenario,
-    example_params,
-    system_spec,
-)
-from .solver import (
-    Completed,
-    NonFinite,
-    Overflowed,
-    PowerLawRhs,
-    SolverConfig,
-    Status,
-    SystemSpec,
-    Trajectory,
-    corrector_weight_a,
-    l1_caputo,
-    predictor_weight_b,
-    solve,
-)
-from .special import gamma, ln_gamma, mittag_leffler
+from . import bounds, config, detect as _detect, errors, scenarios, solver, special
+from .bounds import *
+from .config import *
+from .detect import *  # rebinds `detect` from the submodule to the function
+from .errors import *
+from .scenarios import *
+from .solver import *
+from .special import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    "BoundCertificate",
-    "BracketingError",
-    "Branch",
-    "Completed",
-    "ConfigError",
-    "DetectionReport",
-    "DomainError",
-    "EXAMPLE_ALPHAS",
-    "FracburstError",
-    "NonConvergenceError",
-    "NonFinite",
-    "NotApplicableError",
-    "OverflowRangeError",
-    "Overflowed",
-    "PowerLawParams",
-    "PowerLawRhs",
-    "PrecisionLossError",
-    "RefinementPolicy",
-    "ScalarBoundProblem",
-    "ScalarBoundResult",
-    "Scenario",
-    "ScenarioConfig",
-    "SolverConfig",
-    "Status",
-    "SystemSpec",
-    "Trajectory",
-    "b_domain_lower",
-    "big_B",
-    "conjugate_index",
-    "corrector_weight_a",
-    "crossing_time",
-    "detect",
-    "detection_scenario",
-    "example_params",
-    "gamma",
-    "l1_caputo",
-    "ln_gamma",
-    "mittag_leffler",
-    "parse_config",
-    "predictor_weight_b",
-    "load_config",
-    "solve",
-    "system_spec",
-    "tau_bound",
-    "theorem_bound",
-]
+__all__ = ["__version__", *bounds.__all__, *config.__all__, *_detect.__all__,
+           *errors.__all__, *scenarios.__all__, *solver.__all__, *special.__all__]

@@ -267,24 +267,31 @@ def tau_bound(problem: ScalarBoundProblem) -> ScalarBoundResult:
     )
 
 
-def _reduce(branch, j, exponents, names, u_j, q_j, alpha):
-    """Reduce the system onto component j (i = 3 - j is eliminated).
+# (branch, j): the PowerLawParams fields that play (p_ij, p_ji, p_ii, p_jj)
+# when the system is reduced onto component j and i = 3 - j is eliminated.
+# Equal-q branch 1 is the j = 1 reduction with the columns exchanged.
+_EXPONENTS = {
+    (Branch.DISTINCT_Q, 1): ("p21", "p12", "p22", "p11"),
+    (Branch.DISTINCT_Q, 2): ("p12", "p21", "p11", "p22"),
+    (Branch.EQUAL_Q_BRANCH1, 1): ("p22", "p11", "p21", "p12"),
+    (Branch.EQUAL_Q_BRANCH2, 2): ("p12", "p21", "p11", "p22"),
+}
 
-    exponents[r-1][c-1] is p_rc and names[r-1][c-1] its label in the
-    violation texts. Returns (certificate, []) or (None, violations).
-    """
-    i0, j0 = 2 - j, j - 1  # zero-based row and column of i and j
-    p_ij, p_ji = exponents[i0][j0], exponents[j0][i0]
-    p_ii, p_jj = exponents[i0][i0], exponents[j0][j0]
+
+def _reduce(params: PowerLawParams, branch: Branch, j: int):
+    """Reduce the system onto component j: (certificate, []) or (None, violations)."""
+    fields = _EXPONENTS[branch, j]
+    p_ij, p_ji, p_ii, p_jj = (getattr(params, f) for f in fields)
+    l_ij, l_ji, l_ii, l_jj = (f"p_{f[1:]}" for f in fields)
+    u_j = params.x0 if j == 1 else params.y0
+    q_j = params.q1 if j == 1 else params.q2
     gamma_j = (p_ij + 1.0 - p_ji) / 2.0
     p_j = p_ji + p_jj * gamma_j
     violations = []
     if not p_ij >= 3.0 + p_ji:
-        violations.append(f"{names[i0][j0]} >= 3 + {names[j0][i0]} fails: "
-                          f"{p_ij} < {3.0 + p_ji}")
+        violations.append(f"{l_ij} >= 3 + {l_ji} fails: {p_ij} < {3.0 + p_ji}")
     if not p_ii + 1.0 >= p_jj:
-        violations.append(f"{names[i0][i0]} + 1 >= {names[j0][j0]} fails: "
-                          f"{p_ii + 1.0} < {p_jj}")
+        violations.append(f"{l_ii} + 1 >= {l_jj} fails: {p_ii + 1.0} < {p_jj}")
     if p_j <= 1.0:
         violations.append(
             f"derived exponent p_{j} = {p_j} does not exceed 1, so its "
@@ -299,7 +306,7 @@ def _reduce(branch, j, exponents, names, u_j, q_j, alpha):
             )
     if violations:
         return None, violations
-    problem = ScalarBoundProblem(alpha=alpha, u0=u_j, q=q_j, p=p_j)
+    problem = ScalarBoundProblem(alpha=params.alpha, u0=u_j, q=q_j, p=p_j)
     scalar = tau_bound(problem)
     cert = BoundCertificate(
         branch=branch,
@@ -315,9 +322,6 @@ def _reduce(branch, j, exponents, names, u_j, q_j, alpha):
     return cert, []
 
 
-_NAMES = (("p_11", "p_12"), ("p_21", "p_22"))
-
-
 def theorem_bound(params: PowerLawParams) -> BoundCertificate:
     """Case analysis reducing the system to a scalar bound.
 
@@ -328,24 +332,16 @@ def theorem_bound(params: PowerLawParams) -> BoundCertificate:
     hypotheses hold the theorem says nothing and NotApplicableError
     carries every violated condition.
     """
-    a = params.alpha
-    exponents = ((params.p11, params.p12), (params.p21, params.p22))
     if params.q1 != params.q2:
         # the component with the larger time exponent survives the reduction
         j = 2 if params.q1 < params.q2 else 1
-        cert, violations = _reduce(Branch.DISTINCT_Q, j, exponents, _NAMES,
-                                   (params.x0, params.y0)[j - 1],
-                                   (params.q1, params.q2)[j - 1], a)
+        cert, violations = _reduce(params, Branch.DISTINCT_Q, j)
         if cert is None:
             raise NotApplicableError(violations)
         return cert
 
-    # branch 1 pairs x with y's exponents: the j = 1 reduction with columns exchanged
-    swap = lambda m: tuple(row[::-1] for row in m)
-    cert1, viol1 = _reduce(Branch.EQUAL_Q_BRANCH1, 1, swap(exponents), swap(_NAMES),
-                           params.x0, params.q1, a)
-    cert2, viol2 = _reduce(Branch.EQUAL_Q_BRANCH2, 2, exponents, _NAMES,
-                           params.y0, params.q2, a)
+    cert1, viol1 = _reduce(params, Branch.EQUAL_Q_BRANCH1, 1)
+    cert2, viol2 = _reduce(params, Branch.EQUAL_Q_BRANCH2, 2)
     certs = [cert for cert in (cert1, cert2) if cert is not None]
     if certs:
         return min(certs, key=lambda cert: cert.tau_ub)

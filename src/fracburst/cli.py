@@ -175,9 +175,9 @@ def cmd_b_curve(
         lo = b_domain_lower(alpha, pt, q)
         lmin = lambda_min if lambda_min is not None else lo + 1e-3 * max(1.0, abs(lo))
         lmax = lambda_max if lambda_max is not None else lam_m + 1.0
-        if not (lo < lmin < lmax):
+        if not (lo < lmin < lmax < np.inf):
             raise DomainError(
-                f"lambda range [{lmin}, {lmax}] must be increasing and above "
+                f"lambda range [{lmin}, {lmax}] must be finite, increasing and above "
                 f"the domain boundary {lo:.6g}"
             )
         grid = np.linspace(lmin, lmax, _B_CURVE_POINTS)

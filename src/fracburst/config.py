@@ -50,12 +50,14 @@ __all__ = ["ScenarioConfig", "parse_config", "load_config"]
 _REQUIRED = object()
 _POSITIVE = ("be positive", lambda v: v > 0.0)
 _NONNEGATIVE = ("be nonnegative", lambda v: v >= 0.0)
+# the name prefixes output file names and is quoted in gnuplot scripts
+_FILE_NAME = ("not contain /, \\, ' or NUL", lambda v: not set(v) & set("/\\'\0"))
 
 # key: (section, type, default, (requirement, check)). Section None is
 # the top level, type tuple a comma-separated sweep of floats, and a
 # None default leaves the setting unset (no T: no solver).
 _KEYS = {
-    "name": (None, str, None, None),
+    "name": (None, str, None, _FILE_NAME),
     "alpha": ("system", tuple, _REQUIRED, ("lie in (0, 1]", lambda v: 0.0 < v <= 1.0)),
     "q1": ("system", float, 0.0, _NONNEGATIVE),
     "q2": ("system", float, 0.0, _NONNEGATIVE),
@@ -157,6 +159,11 @@ def parse_config(text: str, default_name: str = "scenario") -> ScenarioConfig:
                     raise ConfigError(f"line {line_no}: {key} must {must}, got {v}")
         settings[key] = value
 
+    name = settings["name"] or default_name
+    must, check = _FILE_NAME
+    if not check(name):  # a name key was checked above, with its line
+        raise ConfigError(f"default name must {must}, got {name}; set name = ... in the file")
+
     shared = {key: settings[key] for key, row in _KEYS.items()
               if row[0] == "system" and key != "alpha"}
     solver = None
@@ -164,7 +171,7 @@ def parse_config(text: str, default_name: str = "scenario") -> ScenarioConfig:
         solver = SolverConfig(T=settings["T"], N=settings["N"],
                               overflow_threshold=settings["threshold"])
     return ScenarioConfig(
-        name=settings["name"] or default_name,
+        name=name,
         systems=tuple(PowerLawParams(alpha=a, **shared) for a in settings["alpha"]),
         solver=solver,
         policy=RefinementPolicy(budget=settings["budget"]),
@@ -175,6 +182,6 @@ def load_config(path: str | Path) -> ScenarioConfig:
     path = Path(path)
     try:
         text = path.read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     return parse_config(text, default_name=path.stem)

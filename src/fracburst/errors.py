@@ -1,5 +1,16 @@
 """Exception types shared across the package."""
 
+__all__ = [
+    "FracburstError",
+    "DomainError",
+    "OverflowRangeError",
+    "NonConvergenceError",
+    "PrecisionLossError",
+    "BracketingError",
+    "NotApplicableError",
+    "ConfigError",
+]
+
 
 class FracburstError(Exception):
     """Base class for all errors raised by this package."""

@@ -37,6 +37,7 @@ __all__ = [
     "Completed",
     "Overflowed",
     "NonFinite",
+    "Status",
     "Trajectory",
     "corrector_weight_a",
     "predictor_weight_b",

@@ -154,6 +154,11 @@ def test_parse_solver_and_detection_sections():
         (MINIMAL_CFG + "[detection]\nthreshold = 0\n", "threshold must be positive"),
         (MINIMAL_CFG + "[detection]\nbudget = -1\n", "budget must be nonnegative"),
         ("name = x\n", "missing [system] section"),
+        ("name = sub/run\n" + MINIMAL_CFG,
+         "line 1: name must not contain /, \\, ' or NUL, got sub/run"),
+        ("name = sub\\run\n" + MINIMAL_CFG, "line 1: name must not contain"),
+        ("name = it's\n" + MINIMAL_CFG, "line 1: name must not contain"),
+        ("name = a\0b\n" + MINIMAL_CFG, "line 1: name must not contain"),
         ("[system]\np11 = 1\n", "missing required key 'alpha' in [system]"),
         ("[system]\nalpha = 0.5\n", "missing required key 'p11' in [system]"),
     ],
@@ -169,6 +174,14 @@ def test_load_config_uses_stem_as_default_name(tmp_path):
     assert load_config(path).name == "burst3"
     named = write_cfg(tmp_path, "name = custom\n" + MINIMAL_CFG, name="other.cfg")
     assert load_config(named).name == "custom"
+
+
+def test_load_config_checks_the_stem_default_name(tmp_path):
+    path = write_cfg(tmp_path, MINIMAL_CFG, name="it's.cfg")
+    with pytest.raises(ConfigError, match="default name must not contain"):
+        load_config(path)
+    named = write_cfg(tmp_path, "name = its\n" + MINIMAL_CFG, name="it's.cfg")
+    assert load_config(named).name == "its"
 
 
 def test_load_config_missing_file(tmp_path):
@@ -398,6 +411,19 @@ def test_main_b_curve_bad_range(tmp_path, capsys):
     code = main(["b-curve", str(path), "--lambda-min", "5", "--lambda-max", "1"])
     assert code == EXIT_CONFIG
     assert "config error" in capsys.readouterr().err
+
+
+def test_main_b_curve_infinite_range(tmp_path, capsys):
+    path = write_cfg(tmp_path, MINIMAL_CFG)
+    assert main(["b-curve", str(path), "--lambda-max", "inf"]) == EXIT_CONFIG
+    assert "must be finite, increasing and above" in capsys.readouterr().err
+
+
+def test_main_undecodable_config(tmp_path, capsys):
+    path = tmp_path / "binary.cfg"
+    path.write_bytes(b"\x7fELF\x02\x01\x01\x00\xff\xfe")
+    assert main(["bound", str(path)]) == EXIT_CONFIG
+    assert "config error: cannot read config" in capsys.readouterr().err
 
 
 def test_main_detect_numeric_failure(tmp_path, capsys):

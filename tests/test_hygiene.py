@@ -12,6 +12,10 @@ Checked with the standard-library ast module, so it needs no linter.
 - No module-level private name (`_name` bound by a def, a class or an
   assignment) goes unread by every package module. A stale helper or
   table that nothing reads any more is dead code.
+- Each public name is written once: every library module (all but cli
+  and __init__) defines __all__, no name is in two of them (a star
+  import would shadow one silently), and fracburst.__all__ is
+  "__version__" plus their union, each name the module's own object.
 - Every name the demos import from fracburst, and every `fb.<name>` the
   benchmark reads, is in `fracburst.__all__`, and every call site the
   benchmark's tracer patches resolves. A removal from the public API
@@ -47,13 +51,18 @@ def imported_names(tree: ast.Module) -> set[str]:
     return names
 
 
-def used_names(tree: ast.Module) -> set[str]:
-    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+def declared_exports(tree: ast.Module) -> list[str] | None:
+    """The module's literal __all__, or None when it assigns none."""
     for node in tree.body:
         if (isinstance(node, ast.Assign)
                 and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
-            used.update(ast.literal_eval(node.value))
-    return used
+            return ast.literal_eval(node.value)
+    return None
+
+
+def used_names(tree: ast.Module) -> set[str]:
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return used | set(declared_exports(tree) or ())
 
 
 def test_package_modules_found():
@@ -170,6 +179,49 @@ def test_no_unread_private_names():
     trees = [ast.parse(p.read_text(), filename=str(p)) for p in ALL_MODULES]
     unread = unread_private_names(trees)
     assert not unread, f"module-level private names no package module reads: {unread}"
+
+
+# ---------------------------------------------------------------------------
+# the public API: each name written once, in its module's __all__
+
+LIBRARY = [p for p in MODULES if p.name != "cli.py"]
+
+
+def shared_exports(exports: dict[str, list[str]]) -> dict[str, list[str]]:
+    """Each name that more than one module exports, with those modules."""
+    owners: dict[str, list[str]] = {}
+    for module, names in exports.items():
+        for name in names:
+            owners.setdefault(name, []).append(module)
+    return {name: modules for name, modules in owners.items() if len(modules) > 1}
+
+
+def test_shared_exports_detector():
+    exports = {"a": ["f", "g"], "b": ["h", "f"], "c": ["k", "k"], "d": []}
+    assert shared_exports(exports) == {"f": ["a", "b"], "k": ["c", "c"]}
+
+
+@pytest.mark.parametrize("path", LIBRARY, ids=lambda p: p.name)
+def test_library_module_defines_all(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    assert declared_exports(tree) is not None, f"{path.name} defines no __all__"
+
+
+def test_no_name_exported_by_two_modules():
+    exports = {p.name: declared_exports(ast.parse(p.read_text(), filename=str(p))) or []
+               for p in LIBRARY}
+    shared = shared_exports(exports)
+    assert not shared, f"names in more than one __all__, one shadowing the other: {shared}"
+
+
+def test_package_exports_the_union_of_module_exports():
+    owner = {name: module
+             for module in (importlib.import_module(f"fracburst.{p.stem}") for p in LIBRARY)
+             for name in module.__all__}
+    assert sorted(fracburst.__all__) == sorted(["__version__", *owner])
+    for name, module in owner.items():
+        assert getattr(fracburst, name) is getattr(module, name), \
+            f"fracburst.{name} is not {module.__name__}.{name}"
 
 
 # ---------------------------------------------------------------------------
