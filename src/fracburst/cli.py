@@ -104,8 +104,6 @@ def cmd_bound(cfg: ScenarioConfig) -> int:
             cert = theorem_bound(params)
         except (NotApplicableError, DomainError) as exc:
             print(f"  not applicable: {exc}")
-            for violation in getattr(exc, "violations", ()):
-                print(f"    {violation}")
             code = EXIT_NOT_APPLICABLE
             continue
         _print_certificate(cert)

@@ -156,13 +156,13 @@ def parse_config(text: str, default_name: str = "scenario") -> ScenarioConfig:
             must, check = requirement
             for v in value if kind is tuple else (value,):
                 if not check(v):
-                    raise ConfigError(f"line {line_no}: {key} must {must}, got {v}")
+                    raise ConfigError(f"line {line_no}: {key} must {must}, got {v!r}")
         settings[key] = value
 
     name = settings["name"] or default_name
     must, check = _FILE_NAME
     if not check(name):  # a name key was checked above, with its line
-        raise ConfigError(f"default name must {must}, got {name}; set name = ... in the file")
+        raise ConfigError(f"default name must {must}, got {name!r}; set name = ... in the file")
 
     shared = {key: settings[key] for key, row in _KEYS.items()
               if row[0] == "system" and key != "alpha"}

@@ -13,7 +13,7 @@ import numpy as np
 
 from .bounds import BoundCertificate, PowerLawParams, theorem_bound
 from .errors import DomainError
-from .solver import PowerLawRhs, SolverConfig, SystemSpec
+from .solver import SolverConfig, SystemSpec
 
 __all__ = [
     "EXAMPLE_ALPHAS",
@@ -56,15 +56,13 @@ def example_params(example: int, alpha: float) -> PowerLawParams:
 def system_spec(params: PowerLawParams) -> SystemSpec:
     """Solver system for a two-component parameter set.
 
-    Row i of the exponent matrix is (p_i1, p_i2): equation i multiplies
-    component k raised to p_ik.
+    Equation i reads f_i(t, x) = t^(q_i) * prod_k x_k^(p_ik): row i of the
+    exponent matrix is (p_i1, p_i2).
     """
-    rhs = PowerLawRhs(
-        q=np.array([params.q1, params.q2]),
-        exponents=np.array([[params.p11, params.p12],
-                            [params.p21, params.p22]]),
-    )
-    return SystemSpec(alpha=params.alpha, dimension=2, rhs=rhs,
+    q = np.array([params.q1, params.q2], dtype=float)
+    p = np.array([[params.p11, params.p12], [params.p21, params.p22]], dtype=float)
+    return SystemSpec(alpha=params.alpha, dimension=2,
+                      rhs=lambda t, state: t ** q * (state ** p).prod(axis=1),
                       initial_state=np.array([params.x0, params.y0]))
 
 

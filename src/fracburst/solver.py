@@ -11,7 +11,6 @@ so each step makes as few numpy calls as it can. The stop test is one
 scalar pass, |x_k| <= min(threshold, float max) for every component k:
 NaN and +-inf fail it even at an infinite threshold, and only the step
 that fails it works out whether the run ended NonFinite or Overflowed.
-One loop serves PowerLawRhs and plain callables alike.
 
 Also carries the L1 discrete Caputo derivative used by the residual and
 inequality tests.
@@ -31,7 +30,6 @@ from .errors import DomainError
 from .special import gamma
 
 __all__ = [
-    "PowerLawRhs",
     "SystemSpec",
     "SolverConfig",
     "Completed",
@@ -39,48 +37,16 @@ __all__ = [
     "NonFinite",
     "Status",
     "Trajectory",
-    "corrector_weight_a",
-    "predictor_weight_b",
     "solve",
     "l1_caputo",
 ]
 
 
 @dataclass(frozen=True)
-class PowerLawRhs:
-    """f_i(t, x) = t^(q_i) * prod_k x_k^(p_ik), all exponents >= 0."""
-
-    q: np.ndarray
-    exponents: np.ndarray
-
-    def __post_init__(self):
-        q = np.atleast_1d(np.asarray(self.q, dtype=float))
-        p = np.asarray(self.exponents, dtype=float)
-        if p.ndim != 2 or p.shape[0] != p.shape[1] or p.shape[0] != q.shape[0]:
-            raise DomainError(
-                f"exponent matrix must be (n, n) matching q, got {p.shape} vs {q.shape}"
-            )
-        if not (np.isfinite(q).all() and np.isfinite(p).all()):
-            raise DomainError("power-law exponents must be finite")
-        if np.any(q < 0.0) or np.any(p < 0.0):
-            raise DomainError("power-law exponents must be nonnegative")
-        q.setflags(write=False)
-        p.setflags(write=False)
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "exponents", p)
-
-    def __call__(self, t: float, state: np.ndarray) -> np.ndarray:
-        return t ** self.q * (state ** self.exponents).prod(axis=1)
-
-
-RhsLike = Union[PowerLawRhs, Callable[[float, np.ndarray], np.ndarray]]
-
-
-@dataclass(frozen=True)
 class SystemSpec:
     alpha: float
     dimension: int
-    rhs: RhsLike
+    rhs: Callable[[float, np.ndarray], np.ndarray]
     initial_state: np.ndarray
 
     def __post_init__(self):
@@ -95,14 +61,6 @@ class SystemSpec:
             )
         if not np.all(np.isfinite(x0)):
             raise DomainError("initial state must be finite")
-        if isinstance(self.rhs, PowerLawRhs):
-            if self.rhs.q.shape != (self.dimension,):
-                raise DomainError("power-law rhs dimension mismatch")
-            if np.any(x0 <= 0.0):
-                raise DomainError(
-                    "power-law systems need strictly positive initial data "
-                    "(non-integer powers of nonpositive values are undefined)"
-                )
         x0.setflags(write=False)
         object.__setattr__(self, "initial_state", x0)
 
@@ -166,31 +124,14 @@ class Trajectory:
         self.states.setflags(write=False)
 
 
-def corrector_weight_a(j: int, n: int, alpha: float) -> float:
-    """Trapezoidal (corrector) weight a_{j,n+1}."""
-    if not (0 <= j <= n):
-        raise DomainError(f"need 0 <= j <= n, got j={j}, n={n}")
-    if j == 0:
-        return n ** (alpha + 1.0) - (n - alpha) * (n + 1.0) ** alpha
-    m = n - j
-    return (m + 2.0) ** (alpha + 1.0) + m ** (alpha + 1.0) - 2.0 * (m + 1.0) ** (alpha + 1.0)
-
-
-def predictor_weight_b(j: int, n: int, alpha: float, h: float) -> float:
-    """Rectangle (predictor) weight b_{j,n+1}."""
-    if not (0 <= j <= n):
-        raise DomainError(f"need 0 <= j <= n, got j={j}, n={n}")
-    if not (h > 0.0):
-        raise DomainError(f"step size must be positive, got {h}")
-    return h ** alpha / alpha * ((n + 1.0 - j) ** alpha - (n - j) ** alpha)
-
-
 def _weight_tables(N: int, alpha: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Predictor and corrector history weights for solve, without the h-factors.
 
-    Returns c1r (len N+1) and c2r (len N), reversed so the history dots
-    run on contiguous slices, and a0 (len N) with a0[n] = a_{0,n+1}, formed
-    with the float operations of corrector_weight_a.
+    With m = n - j, the rectangle weight b_{j,n+1} is (m+1)^a - m^a and the
+    trapezoid weight a_{j,n+1} (0 < j <= n) is (m+2)^(a+1) + m^(a+1) -
+    2 (m+1)^(a+1). Returns c1r (len N+1) and c2r (len N) of these, reversed
+    so the history dots run on contiguous slices, and a0 (len N) with
+    a0[n] = a_{0,n+1} = n^(a+1) - (n - a) (n+1)^a.
     """
     idx = np.arange(N + 2, dtype=float)
     pw_a = idx ** alpha

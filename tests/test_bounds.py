@@ -18,15 +18,19 @@ from hypothesis import strategies as st
 from paper_tables import BENCH_ALPHAS, LAMBDA_REF, TAU_REF
 from fracburst import (
     Branch,
+    Completed,
     DomainError,
     NotApplicableError,
     OverflowRangeError,
     PowerLawParams,
     ScalarBoundProblem,
+    SolverConfig,
     b_domain_lower,
     big_B,
     conjugate_index,
     example_params,
+    solve,
+    system_spec,
     tau_bound,
     theorem_bound,
 )
@@ -239,6 +243,36 @@ def test_all_ones_not_applicable():
     assert "p_22 >= 3 + p_11 fails" in joined
     assert "p_12 >= 3 + p_21 fails" in joined
     assert "admissibility" in joined
+
+
+# D^a y = y^p22 decouples, so y exists for all t when p22 <= 1, and so does
+# x = 1 + I^a(y^3); theorem_bound still certifies both systems through
+# branch 2 of the equal-q case, with the tau_ub written beside each
+NEVER_BLOW_UP = [(0.75, 3.1539), (1.0, 2.3493)]
+
+
+def never_blow_up_params(p22):
+    return PowerLawParams(alpha=0.5, q1=0.0, q2=0.0, p11=0.0, p12=3.0,
+                          p21=0.0, p22=p22, x0=1.0, y0=1.0)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="the reduction's exponent p_2 = p21 + p22 * gamma_2 = 2 * p22 "
+    "exceeds 1 for p22 > 1/2, so the bound certifies blow-up of a global "
+    "solution (ROADMAP item 1)",
+)
+@pytest.mark.parametrize("p22", [p22 for p22, _ in NEVER_BLOW_UP])
+def test_bound_rejects_systems_that_never_blow_up(p22):
+    with pytest.raises(NotApplicableError):
+        theorem_bound(never_blow_up_params(p22))
+
+
+@pytest.mark.parametrize("p22, tau_ub", NEVER_BLOW_UP)
+def test_systems_that_never_blow_up_outlive_ten_bounds(p22, tau_ub):
+    # the witness behind the xfail above: the run completes far past tau_ub
+    config = SolverConfig(T=10.0 * tau_ub, N=2 ** 12, overflow_threshold=1e300)
+    assert solve(system_spec(never_blow_up_params(p22)), config).status == Completed()
 
 
 @pytest.mark.parametrize(

@@ -23,11 +23,13 @@ import pytest
 from paper_tables import BENCH_ALPHAS, parse_reproduce_tables
 from fracburst import (
     ConfigError,
+    NotApplicableError,
     PowerLawParams,
     RefinementPolicy,
     SolverConfig,
     load_config,
     parse_config,
+    theorem_bound,
 )
 from fracburst.cli import (
     EXIT_CONFIG,
@@ -155,10 +157,12 @@ def test_parse_solver_and_detection_sections():
         (MINIMAL_CFG + "[detection]\nbudget = -1\n", "budget must be nonnegative"),
         ("name = x\n", "missing [system] section"),
         ("name = sub/run\n" + MINIMAL_CFG,
-         "line 1: name must not contain /, \\, ' or NUL, got sub/run"),
+         "line 1: name must not contain /, \\, ' or NUL, got 'sub/run'"),
         ("name = sub\\run\n" + MINIMAL_CFG, "line 1: name must not contain"),
         ("name = it's\n" + MINIMAL_CFG, "line 1: name must not contain"),
         ("name = a\0b\n" + MINIMAL_CFG, "line 1: name must not contain"),
+        # repr shows the NUL byte that str would print invisibly
+        ("name = a\0b\n" + MINIMAL_CFG, "got 'a\\x00b'"),
         ("[system]\np11 = 1\n", "missing required key 'alpha' in [system]"),
         ("[system]\nalpha = 0.5\n", "missing required key 'p11' in [system]"),
     ],
@@ -404,6 +408,13 @@ y0 = 1
 """
     path = write_cfg(tmp_path, text)
     assert main(["bound", str(path)]) == EXIT_NOT_APPLICABLE
+    out = capsys.readouterr().out
+    with pytest.raises(NotApplicableError) as exc:
+        theorem_bound(load_config(path).systems[0])
+    # one line names each violated hypothesis, as b-curve and main's stderr do
+    assert len(exc.value.violations) >= 2
+    for violation in exc.value.violations:
+        assert out.count(violation) == 1
 
 
 def test_main_b_curve_bad_range(tmp_path, capsys):

@@ -19,13 +19,11 @@ from fracburst import (
     DomainError,
     NonFinite,
     Overflowed,
-    PowerLawRhs,
+    PowerLawParams,
     SolverConfig,
     SystemSpec,
-    corrector_weight_a,
     example_params,
     l1_caputo,
-    predictor_weight_b,
     solve,
     system_spec,
 )
@@ -38,6 +36,25 @@ def scalar_spec(alpha, rhs, u0=1.0):
 
 # ---------------------------------------------------------------------------
 # weights
+
+def corrector_weight_a(j: int, n: int, alpha: float) -> float:
+    """Trapezoidal (corrector) weight a_{j,n+1}."""
+    if not (0 <= j <= n):
+        raise DomainError(f"need 0 <= j <= n, got j={j}, n={n}")
+    if j == 0:
+        return n ** (alpha + 1.0) - (n - alpha) * (n + 1.0) ** alpha
+    m = n - j
+    return (m + 2.0) ** (alpha + 1.0) + m ** (alpha + 1.0) - 2.0 * (m + 1.0) ** (alpha + 1.0)
+
+
+def predictor_weight_b(j: int, n: int, alpha: float, h: float) -> float:
+    """Rectangle (predictor) weight b_{j,n+1}."""
+    if not (0 <= j <= n):
+        raise DomainError(f"need 0 <= j <= n, got j={j}, n={n}")
+    if not (h > 0.0):
+        raise DomainError(f"step size must be positive, got {h}")
+    return h ** alpha / alpha * ((n + 1.0 - j) ** alpha - (n - j) ** alpha)
+
 
 def test_corrector_weight_values():
     assert corrector_weight_a(0, 0, 0.5) == pytest.approx(0.5, rel=1e-15)
@@ -103,30 +120,6 @@ def test_system_spec_validation():
         SystemSpec(alpha=0.5, dimension=2, rhs=rhs, initial_state=np.array([1.0]))
     with pytest.raises(DomainError):
         SystemSpec(alpha=0.5, dimension=1, rhs=rhs, initial_state=np.array([math.nan]))
-
-
-def test_power_law_rhs_validation():
-    with pytest.raises(DomainError):
-        PowerLawRhs(q=np.array([0.5]), exponents=np.array([[1.0, 2.0]]))
-    with pytest.raises(DomainError):
-        PowerLawRhs(q=np.array([0.5, 0.5]), exponents=np.array([[1.0]]))
-    with pytest.raises(DomainError):
-        PowerLawRhs(q=np.array([-0.5]), exponents=np.array([[1.0]]))
-    with pytest.raises(DomainError):
-        PowerLawRhs(q=np.array([0.5]), exponents=np.array([[-1.0]]))
-    # non-finite exponents used to pass, and solve returned Completed()
-    # on a meaningless trajectory
-    for bad in (math.nan, math.inf, -math.inf):
-        with pytest.raises(DomainError, match="exponents must be finite"):
-            PowerLawRhs(q=np.array([bad]), exponents=np.array([[1.0]]))
-        with pytest.raises(DomainError, match="exponents must be finite"):
-            PowerLawRhs(q=np.array([0.5]), exponents=np.array([[bad]]))
-
-
-def test_power_law_needs_positive_initial_state():
-    rhs = PowerLawRhs(q=np.array([0.0]), exponents=np.array([[1.5]]))
-    with pytest.raises(DomainError, match="positive initial data"):
-        SystemSpec(alpha=0.5, dimension=1, rhs=rhs, initial_state=np.array([0.0]))
 
 
 def test_solver_config_validation():
@@ -228,12 +221,12 @@ def abm_by_hand(spec, T, N):
 def test_solve_matches_abm_built_from_weight_functions(alpha, kind):
     # ties solve's reversed weight tables to the documented weights
     if kind == "power_law":
-        rhs = PowerLawRhs(q=np.array([0.0, 0.5]),
-                          exponents=np.array([[0.6, 0.3], [0.4, 0.5]]))
+        spec = system_spec(PowerLawParams(alpha=alpha, q1=0.0, q2=0.5, p11=0.6, p12=0.3,
+                                          p21=0.4, p22=0.5, x0=1.0, y0=0.5))
     else:
         rhs = lambda t, x: np.array([np.cos(3.0 * t) - 0.5 * x[0] * x[1], x[0] - x[1] ** 2])
-    spec = SystemSpec(alpha=alpha, dimension=2, rhs=rhs,
-                      initial_state=np.array([1.0, 0.5]))
+        spec = SystemSpec(alpha=alpha, dimension=2, rhs=rhs,
+                          initial_state=np.array([1.0, 0.5]))
     traj = solve(spec, SolverConfig(T=1.0, N=16))
     assert isinstance(traj.status, Completed)
     np.testing.assert_allclose(traj.states, abm_by_hand(spec, 1.0, 16), rtol=1e-13, atol=0.0)
@@ -272,7 +265,7 @@ def test_nonfinite_rhs_is_reported():
 
 @pytest.mark.parametrize("rhs, x0, rows", [
     # the predicted rhs overflows, so the corrected state is inf
-    (PowerLawRhs(q=np.array([0.0]), exponents=np.array([[2.0]])), 1e100, 1),
+    (lambda t, x: x ** 2.0, 1e100, 1),
     # the state stays finite and the rhs at the accepted state overflows
     (lambda t, x: np.where(x <= 1.0, t, np.inf), 1.0, 2),
 ])
