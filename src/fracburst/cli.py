@@ -307,9 +307,6 @@ def main(argv: Optional[list[str]] = None) -> int:
     except (ConfigError, DomainError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except NotApplicableError as exc:
-        print(f"not applicable: {exc}", file=sys.stderr)
-        return EXIT_NOT_APPLICABLE
     except FracburstError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC

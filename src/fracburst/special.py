@@ -16,7 +16,8 @@ The coefficient 1/Gamma(alpha k + beta) of term k depends on (alpha,
 beta, k) only. Each one is memoized by functools.lru_cache, bounded at
 32 pairs' worth of terms and shared by every caller; a term is then the
 running 36-digit power |t|^k times the cached |1/Gamma|, so a call on
-known terms evaluates no Gamma function and no exponential.
+known terms evaluates no Gamma function, no exponential and no
+logarithm.
 
 Typical usable ranges on the negative axis (raise beyond): alpha=0.3 up
 to |t|~3, alpha=0.5 up to ~6, alpha=0.9 beyond 20. On the positive axis
@@ -58,11 +59,14 @@ _REL_GUARANTEE = 4e-11
 # coefficients against mpmath) times |t|^k formed by at most 400
 # multiplications rounded at 5e-36 relative each, 2e-33 in all. Both
 # sit far below the constant floor 8 * 1e-31 that every term is charged,
-# so the charge needs no term for the product. The companion charge of
-# 2**-100 (~8e-31) of sum |T_k| covers at most 400 additions rounded at
-# 5e-37 relative each. Both are wider than 36 digits need; they fix
-# where the guarantee fails, and the tests pin those points.
+# so the charge needs no term for the product. Each term is charged a
+# further 2**-100 (~8e-31) of |T_k|, covering at most 400 additions
+# rounded at 5e-37 relative each. Both are wider than 36 digits need;
+# they fix where the guarantee fails, and the tests pin those points.
 _EPS_UNIT = 1e-31
+
+# Largest term the series may reach, e^5 inside the double range
+_TERM_MAX = math.exp(_LN_MAX - 5.0)
 
 # Coefficients memoized: 32 pairs (alpha, beta) that each reach the term
 # cap (a coefficient costs about 0.2 ms to compute).
@@ -149,7 +153,7 @@ def _evaluate(alpha: float, beta: float, t: float) -> tuple[float, float]:
         coef = _coefficient(alpha, beta, 0)
         if coef is None:
             return 0.0, 2.0 ** -52
-        _, _, negative, mag = coef
+        _, negative, mag = coef
         value = float(mag)
         if math.isinf(value):
             raise OverflowRangeError(f"1/gamma({beta}) exceeds the double-precision range")
@@ -157,20 +161,18 @@ def _evaluate(alpha: float, beta: float, t: float) -> tuple[float, float]:
 
     # T_k = s * |t|^k * |1/G|, with |1/G| from _coefficient and |t|^k
     # a running 36-digit product. alpha k + beta is formed exactly, so the
-    # pole test is exact too. The magnitude guard reads the term's
-    # logarithm k ln|t| + ln|1/G|. Both charges are accumulated on terms
-    # scaled by 2**-100 (exact), so they stay finite for terms near the
-    # double range.
-    condsum = 0.0
-    errsum = 0.0
+    # pole test is exact too. One double |T_k| serves the magnitude guard
+    # (checked before T_k is added) and both error charges; with |T_k|
+    # below _TERM_MAX and each charge factor below 1e-20, 400 charges sum
+    # to under ~1e290, so the bound stays finite.
+    abs_bound = 0.0
     consec = 0
     converged = False
     prev_abs = 0.0
     ratio = 0.0
+    lnt = math.log(abs(t))
     with localcontext(_CTX):
         abs_t = Decimal(abs(t))
-        lnt = abs_t.ln()
-        lnt_float = float(lnt)
         power = Decimal(1)
         total = Decimal(0)
         for k in range(_MAX_TERMS):
@@ -179,16 +181,14 @@ def _evaluate(alpha: float, beta: float, t: float) -> tuple[float, float]:
             coef = _coefficient(alpha, beta, k)
             if coef is None:
                 continue  # pole: reciprocal gamma vanishes
-            ln_recip, lg_abs, negative, recip = coef
+            lg_abs, negative, recip = coef
             negative ^= t < 0.0 and k % 2 == 1
-            if float(k * lnt + ln_recip) > _LN_MAX - 5.0:
-                raise _raise_magnitude(t)
             term = power * recip
-            total += -term if negative else term
             abs_term = float(term)
-            scaled = abs_term * 2.0 ** -100
-            condsum += scaled
-            errsum += scaled * (abs(k * lnt_float) + lg_abs + 8.0)
+            if abs_term > _TERM_MAX:
+                raise _raise_magnitude(t)
+            total += -term if negative else term
+            abs_bound += abs_term * (_EPS_UNIT * (abs(k * lnt) + lg_abs + 8.0) + 2.0 ** -100)
             if prev_abs > 0.0 and abs_term > 0.0:
                 ratio = abs_term / prev_abs
             prev_abs = abs_term
@@ -200,7 +200,6 @@ def _evaluate(alpha: float, beta: float, t: float) -> tuple[float, float]:
             else:
                 consec = 0
     value = float(total)
-    abs_bound = errsum * (_EPS_UNIT * 2.0 ** 100) + condsum
     if not converged:
         # when cancellation already spends the guarantee, that is the
         # real limit: more terms could not rescue the sum
@@ -222,18 +221,18 @@ def _evaluate(alpha: float, beta: float, t: float) -> tuple[float, float]:
 
 
 @functools.lru_cache(maxsize=_CACHED_TERMS)
-def _coefficient(alpha: float, beta: float, k: int) -> Optional[tuple[Decimal, float, bool, Decimal]]:
+def _coefficient(alpha: float, beta: float, k: int) -> Optional[tuple[float, bool, Decimal]]:
     """Coefficient of term k of E_{alpha,beta}, computed once and shared.
 
-    None at a pole, else (ln|1/Gamma(a)|, |ln Gamma| charged for it,
-    1/Gamma(a) < 0, |1/Gamma(a)|) at a = alpha k + beta, formed exactly.
+    None at a pole, else (|ln Gamma| charged for it, 1/Gamma(a) < 0,
+    |1/Gamma(a)|) at a = alpha k + beta, formed exactly.
     """
     with localcontext(_CTX):
         recip = _ln_recip_gamma(Fraction(alpha) * k + Fraction(beta))
         if recip is None:
             return None
         ln_recip, lg, negative = recip
-        return ln_recip, abs(float(lg)), negative, ln_recip.exp()
+        return abs(float(lg)), negative, ln_recip.exp()
 
 
 # ---------------------------------------------------------------------------

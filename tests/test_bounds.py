@@ -245,6 +245,24 @@ def test_all_ones_not_applicable():
     assert "admissibility" in joined
 
 
+
+def test_equal_q_derived_exponent_at_most_one_is_listed():
+    # all exponents 0: gamma_j = 1/2 and p_j = 0 on both branches
+    params = PowerLawParams(alpha=0.5, q1=0.0, q2=0.0, p11=0.0, p12=0.0,
+                            p21=0.0, p22=0.0, x0=1.0, y0=1.0)
+    with pytest.raises(NotApplicableError) as exc:
+        theorem_bound(params)
+    violations = exc.value.violations
+    for j in (1, 2):
+        assert any(v.startswith(f"branch {j}: derived exponent p_{j} = 0.0 does not exceed 1")
+                   for v in violations)
+    assert not any("admissibility" in v for v in violations)
+
+
+def test_example_params_rejects_unknown_example():
+    with pytest.raises(DomainError, match="^unknown example 4, expected 1, 2 or 3$"):
+        example_params(4, 0.5)
+
 # D^a y = y^p22 decouples, so y exists for all t when p22 <= 1, and so does
 # x = 1 + I^a(y^3); theorem_bound still certifies both systems through
 # branch 2 of the equal-q case, with the tau_ub written beside each

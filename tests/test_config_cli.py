@@ -276,6 +276,16 @@ def test_solve_reports_overflow(tmp_path):
     assert "(component" in out
 
 
+def test_solve_reports_non_finite(tmp_path):
+    # past the blow-up the threshold never fires, so the state turns non-finite
+    text = MINIMAL_CFG + "[solver]\nT = 3.0\nN = 256\n[detection]\nthreshold = 1e300\n"
+    code, out = run_cmd(cmd_solve, parse_config(text), out_dir=tmp_path)
+    assert code == EXIT_OK
+    assert "alpha=0.5: non-finite at step 5, 5 rows" in out
+    _, data = read_csv(tmp_path / "scenario_alpha0.5.csv")
+    assert data.shape == (5, 3)
+
+
 def test_solve_requires_horizon():
     with pytest.raises(ConfigError, match="needs a \\[solver\\] section with T"):
         run_cmd(cmd_solve, parse_config(MINIMAL_CFG))
@@ -334,6 +344,17 @@ def test_b_curve_explicit_range(tmp_path):
     _, data = read_csv(tmp_path / "scenario_alpha0.6_b.csv")
     assert data[0, 0] == pytest.approx(0.5)
     assert data[-1, 0] == pytest.approx(3.0)
+
+
+def test_b_curve_not_applicable(tmp_path):
+    text = MINIMAL_CFG
+    for name in ("p12", "p21", "p22"):
+        text = re.sub(rf"{name} = \S+", f"{name} = 1.0", text)
+    code, out = run_cmd(cmd_b_curve, parse_config(text), out_dir=tmp_path)
+    assert code == EXIT_NOT_APPLICABLE
+    assert out.startswith("alpha=0.5: not applicable: ")
+    assert "branch 1:" in out and "branch 2:" in out
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_b_curve_bad_range_is_domain_error(tmp_path):
@@ -411,7 +432,7 @@ y0 = 1
     out = capsys.readouterr().out
     with pytest.raises(NotApplicableError) as exc:
         theorem_bound(load_config(path).systems[0])
-    # one line names each violated hypothesis, as b-curve and main's stderr do
+    # one line names each violated hypothesis, as b-curve does
     assert len(exc.value.violations) >= 2
     for violation in exc.value.violations:
         assert out.count(violation) == 1
@@ -522,6 +543,56 @@ def test_reproduce_solves_no_grid_outside_detect(tmp_path, monkeypatch):
         code = cli.cmd_reproduce(out_dir=tmp_path, base_n=64)
     assert code == EXIT_OK
     assert len(list(tmp_path.glob("*.csv"))) == 12
+
+
+def reproduce_lines(text):
+    """Table rows of cmd_reproduce's stdout: lines that start with an alpha."""
+    return [line for line in text.splitlines() if re.match(r"\s+0\.\d\s", line)]
+
+
+def test_reproduce_reports_failed_rows(tmp_path, monkeypatch):
+    from fracburst import NonConvergenceError, cli
+
+    def failing_detect(*args, **kwargs):
+        raise NonConvergenceError("ladder did not settle")
+
+    monkeypatch.setattr(cli, "detect", failing_detect)
+    code, out = run_cmd(cli.cmd_reproduce, out_dir=tmp_path, base_n=64)
+    assert code == EXIT_NUMERIC
+    rows = reproduce_lines(out)
+    assert len(rows) == 12
+    for row in rows:
+        assert re.search(r"\s+error\s+-\s+-(  \*)?$", row), row
+    # the certificate came before detect, so example 1 keeps its lambda_m
+    assert all(re.match(r"\s+0\.\d\s+-?\d", row) for row in rows[:4])
+    assert out.count("\n    NonConvergenceError: ladder did not settle\n") == 12
+    assert list(tmp_path.glob("*.csv")) == []
+
+
+def test_reproduce_reports_rows_without_crossing(tmp_path, monkeypatch):
+    from dataclasses import replace
+
+    from fracburst import cli
+
+    real_detect = cli.detect
+    monkeypatch.setattr(cli, "detect", lambda *a, **k: replace(real_detect(*a, **k), t_num=None))
+    code, out = run_cmd(cli.cmd_reproduce, out_dir=tmp_path, base_n=64)
+    assert code == EXIT_OK
+    rows = reproduce_lines(out)
+    assert len(rows) == 12
+    for row in rows:
+        assert re.search(r"\s+no crossing\s+\d\.\d+(e[+-]\d+)?\s+-(  \*)?$", row), row
+    assert len(list(tmp_path.glob("*.csv"))) == 12
+
+
+def test_main_reproduce_passes_out_dir(tmp_path, monkeypatch):
+    from fracburst import cli
+
+    seen = []
+    monkeypatch.setattr(cli, "cmd_reproduce", lambda out_dir: seen.append(out_dir) or EXIT_OK)
+    d = str(tmp_path / "tables")
+    assert main(["reproduce", "--out-dir", d]) == EXIT_OK
+    assert seen == [Path(d)]
 
 
 def test_reproduce_is_bit_reproducible(reproduce_run, tmp_path):

@@ -277,6 +277,13 @@ def test_infinite_threshold_still_stops_on_overflow_to_inf(rhs, x0, rows):
     assert np.all(np.isfinite(traj.states))
 
 
+def test_nonfinite_rhs_at_t0_stops_before_the_first_step():
+    traj = solve(scalar_spec(0.5, lambda t, x: np.full(1, math.nan)), SolverConfig(T=1.0, N=8))
+    assert traj.status == NonFinite(step=0)
+    assert traj.states.shape == (1, 1)
+    assert traj.times.tolist() == [0.0]
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_nonfinite_state_is_not_an_overflow(bad):
     # the other component is far over the threshold in the same row

@@ -262,10 +262,9 @@ def series_term(alpha, beta, t, k):
         power = Decimal(1)
         for _ in range(k):
             power *= abs_t
-        _, lg_abs, _, recip = special._coefficient(alpha, beta, k)
+        lg_abs, _, recip = special._coefficient(alpha, beta, k)
         term = power * recip
-        lnt = abs_t.ln()
-    return term, a, abs(k * float(lnt)) + lg_abs + 8.0
+    return term, a, abs(k * math.log(abs(t))) + lg_abs + 8.0
 
 
 @pytest.mark.parametrize(
@@ -368,6 +367,23 @@ def test_cap_near_double_range_is_plain_nonconvergence(alpha, beta, t):
     with pytest.raises(NonConvergenceError) as info:
         mittag_leffler(alpha, beta, t)
     assert type(info.value) is NonConvergenceError
+
+
+@pytest.mark.parametrize(
+    "alpha,beta,t,raise_type,message",
+    [
+        (0.5, 1.0, 1e5, NonConvergenceError, "partial sums exceed the double-precision range"),
+        (2.0, 1.0, 1e300, NonConvergenceError, "partial sums exceed the double-precision range"),
+        # term 0, 1/Gamma(-200.5) ~ 1e375, is already beyond the range
+        (0.5, -200.5, 1.0, NonConvergenceError, "partial sums exceed the double-precision range"),
+        (0.5, 1.0, -1e5, PrecisionLossError, "peak terms beyond the double range"),
+    ],
+)
+def test_magnitude_guard_raises_before_terms_leave_the_double_range(
+        alpha, beta, t, raise_type, message):
+    with pytest.raises(NonConvergenceError, match=message) as info:
+        mittag_leffler(alpha, beta, t)
+    assert type(info.value) is raise_type
 
 
 # ---------------------------------------------------------------------------
