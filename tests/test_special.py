@@ -293,6 +293,41 @@ def test_series_term_within_error_budget(alpha, beta, t, k):
     assert rel <= 1e-2 * special._EPS_UNIT * units
 
 
+def error_charge(alpha, beta, t):
+    """The series' error charges relative to |E_{alpha,beta}(t)|, in mpmath.
+
+    Sums |T_k| (1e-31 (|k ln|t|| + |ln Gamma(alpha k + beta)| + 8) + 2**-100)
+    over the terms that _evaluate adds (until two consecutive terms fall
+    below 1e-15 of the partial sum), at 50 digits and without special.
+    """
+    with mpmath.workdps(50):
+        lnt = mpmath.log(abs(mpmath.mpf(t)))
+        total = charge = mpmath.mpf(0)
+        small = 0
+        for k in range(400):
+            a = mpmath.mpf(alpha) * k + beta
+            lg = mpmath.loggamma(a)
+            term = mpmath.exp(k * lnt - lg)
+            charge += term * (mpmath.mpf("1e-31") * (abs(k * lnt) + abs(lg) + 8) + mpmath.mpf(2) ** -100)
+            total += -term if t < 0 and k % 2 else term
+            small = small + 1 if term <= mpmath.mpf("1e-15") * abs(total) else 0
+            if small == 2:
+                return float(charge / abs(total))
+    raise AssertionError("series did not truncate")
+
+
+@pytest.mark.parametrize(
+    "alpha,beta,t",
+    # negative-axis points where the charges, not the 2e-15 tail floor,
+    # set the bound; the 2**-100 charge is 3-7% of it, |ln Gamma| 36-40%
+    [(0.5, 1.0, -6.0), (1.0, 1.0, -20.0), (0.6, 1.0, -8.5)],
+)
+def test_returned_bound_is_the_error_charge(alpha, beta, t):
+    charge = error_charge(alpha, beta, t)
+    _, bound = special._evaluate(alpha, beta, t)
+    assert charge <= bound <= 1.01 * charge
+
+
 @pytest.mark.parametrize(
     "b",
     [0.5, 1.0, 2.5, 10.0, 170.5,
