@@ -15,9 +15,9 @@ without its guarantee.
 The coefficient 1/Gamma(alpha k + beta) of term k depends on (alpha,
 beta, k) only. Each one is memoized by functools.lru_cache, bounded at
 32 pairs' worth of terms and shared by every caller; a term is then the
-running 36-digit power |t|^k times the cached |1/Gamma|, so a call on
-known terms evaluates no Gamma function, no exponential and no
-logarithm.
+running 36-digit power |t|^k times the cached signed 1/Gamma (the
+reflection formula below zero), so a call on known terms evaluates no
+Gamma function, no exponential and no logarithm.
 
 Typical usable ranges on the negative axis (raise beyond): alpha=0.3 up
 to |t|~3, alpha=0.5 up to ~6, alpha=0.9 beyond 20. On the positive axis
@@ -54,15 +54,15 @@ _MAX_TERMS = 400
 _REL_GUARANTEE = 4e-11
 
 # Per-unit-of-ln-magnitude relative error charged to one term; the unit
-# count is |k ln|t|| + |ln G| + 8. A term is |1/Gamma| (36-digit
-# ln_gamma, then exp: measured worst case ~6e-35 per unit, 3000 random
-# coefficients against mpmath) times |t|^k formed by at most 400
-# multiplications rounded at 5e-36 relative each, 2e-33 in all. Both
-# sit far below the constant floor 8 * 1e-31 that every term is charged,
-# so the charge needs no term for the product. Each term is charged a
-# further 2**-100 (~8e-31) of |T_k|, covering at most 400 additions
-# rounded at 5e-37 relative each. Both are wider than 36 digits need;
-# they fix where the guarantee fails, and the tests pin those points.
+# count is |k ln|t|| + |ln G| + 8. A term is 1/Gamma (36-digit ln_gamma,
+# exp, times sin(pi a)/pi below zero: measured worst case ~9e-35 per
+# unit, 3000 random coefficients against mpmath) times |t|^k formed by at
+# most 400 multiplications rounded at 5e-36 relative each, 2e-33 in all.
+# Both sit far below the constant floor 8 * 1e-31 that every term is
+# charged, so the charge needs no term for the product. Each term is
+# charged a further 2**-100 (~8e-31) of |T_k|, covering at most 400
+# additions rounded at 5e-37 relative each. Both are wider than 36 digits
+# need; they fix where the guarantee fails, and the tests pin them.
 _EPS_UNIT = 1e-31
 
 # Largest term the series may reach, e^5 inside the double range
@@ -153,13 +153,12 @@ def _evaluate(alpha: float, beta: float, t: float) -> tuple[float, float]:
         coef = _coefficient(alpha, beta, 0)
         if coef is None:
             return 0.0, 2.0 ** -52
-        _, negative, mag = coef
-        value = float(mag)
+        value = float(coef[1])
         if math.isinf(value):
             raise OverflowRangeError(f"1/gamma({beta}) exceeds the double-precision range")
-        return (-value if negative else value), 2.0 ** -52
+        return value, 2.0 ** -52
 
-    # T_k = s * |t|^k * |1/G|, with |1/G| from _coefficient and |t|^k
+    # T_k = +-|t|^k * 1/G, with the signed 1/G from _coefficient and |t|^k
     # a running 36-digit product. alpha k + beta is formed exactly, so the
     # pole test is exact too. One double |T_k| serves the magnitude guard
     # (checked before T_k is added) and both error charges; with |T_k|
@@ -181,13 +180,12 @@ def _evaluate(alpha: float, beta: float, t: float) -> tuple[float, float]:
             coef = _coefficient(alpha, beta, k)
             if coef is None:
                 continue  # pole: reciprocal gamma vanishes
-            lg_abs, negative, recip = coef
-            negative ^= t < 0.0 and k % 2 == 1
-            term = power * recip
-            abs_term = float(term)
+            lg_abs, recip = coef
+            term = -power * recip if t < 0.0 and k % 2 else power * recip
+            abs_term = abs(float(term))
             if abs_term > _TERM_MAX:
                 raise _raise_magnitude(t)
-            total += -term if negative else term
+            total += term
             abs_bound += abs_term * (_EPS_UNIT * (abs(k * lnt) + lg_abs + 8.0) + 2.0 ** -100)
             if prev_abs > 0.0 and abs_term > 0.0:
                 ratio = abs_term / prev_abs
@@ -221,38 +219,27 @@ def _evaluate(alpha: float, beta: float, t: float) -> tuple[float, float]:
 
 
 @functools.lru_cache(maxsize=_CACHED_TERMS)
-def _coefficient(alpha: float, beta: float, k: int) -> Optional[tuple[float, bool, Decimal]]:
+def _coefficient(alpha: float, beta: float, k: int) -> Optional[tuple[float, Decimal]]:
     """Coefficient of term k of E_{alpha,beta}, computed once and shared.
 
-    None at a pole, else (|ln Gamma| charged for it, 1/Gamma(a) < 0,
-    |1/Gamma(a)|) at a = alpha k + beta, formed exactly.
+    None at a pole, where 1/Gamma(a) vanishes, else (|ln Gamma| charged
+    for it, 1/Gamma(a) as one signed 36-digit value) at a = alpha k +
+    beta, formed exactly. Below zero by the reflection
+    1/Gamma(a) = Gamma(1-a) sin(pi a) / pi.
     """
+    a = Fraction(alpha) * k + Fraction(beta)
     with localcontext(_CTX):
-        recip = _ln_recip_gamma(Fraction(alpha) * k + Fraction(beta))
-        if recip is None:
+        if a > 0:
+            lg = _ln_gamma_hp(_dec(a))
+            return abs(float(lg)), (-lg).exp()
+        if a.denominator == 1:
             return None
-        ln_recip, lg, negative = recip
-        return abs(float(lg)), negative, ln_recip.exp()
+        lg = _ln_gamma_hp(_dec(1 - a))
+        return abs(float(lg)), _sin_pi(a) / _PI * lg.exp()
 
 
 # ---------------------------------------------------------------------------
 # 36-digit helpers; call them inside localcontext(_CTX)
-
-def _ln_recip_gamma(a: Fraction) -> Optional[tuple[Decimal, Decimal, bool]]:
-    """(ln|1/Gamma(a)|, the ln Gamma charged for it, 1/Gamma(a) < 0).
-
-    None at a pole, where 1/Gamma(a) vanishes. Below zero by the
-    reflection 1/Gamma(a) = Gamma(1-a) sin(pi a) / pi.
-    """
-    if a > 0:
-        lg = _ln_gamma_hp(_dec(a))
-        return -lg, lg, False
-    if a.denominator == 1:
-        return None
-    spi = _sin_pi(a)
-    lg = _ln_gamma_hp(_dec(1 - a))
-    return lg + abs(spi).ln() - _LN_PI, lg, spi < 0
-
 
 def _dec(x: Fraction) -> Decimal:
     return Decimal(x.numerator) / x.denominator
@@ -289,8 +276,8 @@ def _bernoulli_even(count: int) -> list[Fraction]:
 def _ln_gamma_hp(z: Decimal) -> Decimal:
     """ln Gamma(z) for z > 0 at the working precision.
 
-    Stirling with exact-rational Bernoulli coefficients after shifting the
-    argument above 32; the truncated tail there is below 1e-40 absolute.
+    Stirling with 16 exact-rational Bernoulli coefficients after shifting
+    the argument to 32 or above, where the tail is below 8.2e-42 absolute.
     """
     shift = 0
     if z < _STIRLING_Z0:
@@ -310,10 +297,9 @@ def _ln_gamma_hp(z: Decimal) -> Decimal:
 _STIRLING_Z0 = 32
 _HALF = Decimal("0.5")
 with localcontext(_CTX):
-    _LN_PI = _PI.ln()
     _HALF_LN_2PI = (2 * _PI).ln() / 2
     # B_2n / (2n (2n-1))
     _STIRLING_COEF = [
         _dec(B / ((2 * n) * (2 * n - 1)))
-        for n, B in enumerate(_bernoulli_even(28), start=1)
+        for n, B in enumerate(_bernoulli_even(16), start=1)
     ]

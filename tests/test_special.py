@@ -237,7 +237,6 @@ def test_sin_pi(x, exact):
 
 def test_decimal_constants():
     assert float(abs(mpmath.mpf(str(special._PI)) - mpmath.pi)) <= 1e-58
-    assert float(abs(mpmath.mpf(str(special._LN_PI)) - mpmath.log(mpmath.pi))) <= 1e-35
     half_ln_2pi = mpmath.log(2 * mpmath.pi) / 2
     assert float(abs(mpmath.mpf(str(special._HALF_LN_2PI)) - half_ln_2pi)) <= 1e-35
 
@@ -262,8 +261,8 @@ def series_term(alpha, beta, t, k):
         power = Decimal(1)
         for _ in range(k):
             power *= abs_t
-        lg_abs, _, recip = special._coefficient(alpha, beta, k)
-        term = power * recip
+        lg_abs, recip = special._coefficient(alpha, beta, k)
+        term = abs(power * recip)
     return term, a, abs(k * math.log(abs(t))) + lg_abs + 8.0
 
 
@@ -454,7 +453,7 @@ def test_warm_table_evaluates_no_gamma(monkeypatch):
     def fail(a):
         raise AssertionError(f"ln 1/Gamma({a}) recomputed")
 
-    monkeypatch.setattr(special, "_ln_recip_gamma", fail)
+    monkeypatch.setattr(special, "_ln_gamma_hp", fail)
     assert [mittag_leffler(*p) for p in points] == expected
 
 
