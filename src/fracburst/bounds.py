@@ -32,6 +32,8 @@ __all__ = [
 _PROBE = 1e-6
 _GS_TOL = 1e-10
 _MAX_SPAN = 1e6
+# Largest rounding error of ln B that big_B and the minimizer accept
+_LN_B_TOL = 1e-9
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
@@ -160,12 +162,29 @@ def _ln_big_B(lam: float, alpha: float, p_tilde: float, q: float) -> float:
                     ("q+lam+2-p_tilde*(q+alpha)", a5)):
         if not (a > 0.0):
             raise DomainError(f"gamma argument {name} = {a} is not positive")
-    return ((p_tilde - 1.0) * ln_gamma(a1) + ln_gamma(a2) + ln_gamma(a3)
-            - p_tilde * ln_gamma(a4) - ln_gamma(a5))
+    g1, g2, g3 = ln_gamma(a1), ln_gamma(a2), ln_gamma(a3)
+    g4, g5 = ln_gamma(a4), ln_gamma(a5)
+    # each ln Gamma is rounded at about 2**-52 of itself, and they grow
+    # like lam ln lam while ln B grows like ln lam, so large lam leaves
+    # only rounding; the minimizer's scan compares ln B at _LN_B_TOL too
+    err = 2.0 ** -52 * (abs((p_tilde - 1.0) * g1) + abs(g2) + abs(g3)
+                        + abs(p_tilde * g4) + abs(g5))
+    if err > _LN_B_TOL:
+        raise DomainError(
+            f"ln B({lam}) is lost to rounding: its five ln gamma terms leave "
+            f"an error up to {err:.1e}, above {_LN_B_TOL:.0e}"
+        )
+    return (p_tilde - 1.0) * g1 + g2 + g3 - p_tilde * g4 - g5
 
 
 def big_B(lam: float, alpha: float, p_tilde: float, q: float) -> float:
-    """The gamma-ratio function whose minimum enters the blow-up bound."""
+    """The gamma-ratio function whose minimum enters the blow-up bound.
+
+    ln B is a difference of five ln gamma values of size lam ln lam, so
+    their rounding grows with lam. Where it could exceed 1e-9 in ln B
+    (from lam = 3.4e4 to 9.9e4 on the paper's systems) this raises
+    DomainError instead of returning a value made of rounding.
+    """
     ln_b = _ln_big_B(lam, alpha, p_tilde, q)
     if ln_b > _LN_MAX:
         raise OverflowRangeError(
@@ -235,7 +254,7 @@ def _minimize_ln_big_B(problem: ScalarBoundProblem):
     span_lo, span_hi = bracket
     for i in range(100):
         x = span_lo + (span_hi - span_lo) * (i + 0.5) / 100.0
-        if f(x) < ln_b_min - 1e-9:
+        if f(x) < ln_b_min - _LN_B_TOL:
             raise BracketingError(
                 f"scan found B({x}) below the converged minimum; "
                 "B is not unimodal on the bracket"

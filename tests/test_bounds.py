@@ -11,12 +11,14 @@ from __future__ import annotations
 import math
 from dataclasses import replace
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from paper_tables import BENCH_ALPHAS, LAMBDA_REF, TAU_REF
 from fracburst import (
+    BracketingError,
     Branch,
     Completed,
     DomainError,
@@ -34,6 +36,7 @@ from fracburst import (
     tau_bound,
     theorem_bound,
 )
+from fracburst import bounds
 
 
 # ---------------------------------------------------------------------------
@@ -120,6 +123,33 @@ def test_big_b_raises_at_and_below_boundary():
     assert big_B(lo + 1e-3, alpha, pt, q) > 0.0
 
 
+def test_big_b_overflow_raises():
+    # ln B = 992.28, with its rounding near 3.5e-13
+    with pytest.raises(OverflowRangeError, match=r"B\(50.0\) = exp\(992.28\) exceeds"):
+        big_B(50.0, 0.5, 1.004, 200.0)
+
+
+@pytest.mark.parametrize("lam", [0.5, 35.8, 1e3, 3e4, 9e4])
+def test_big_b_within_rounding_tolerance_of_mpmath(lam):
+    # Example 1, alpha = 0.9: ln B against 60 digits wherever big_B returns
+    cert = theorem_bound(example_params(1, 0.9))
+    alpha, pt, q = 0.9, cert.p_tilde_j, cert.q_j
+    with mpmath.workdps(60):
+        lg = lambda a: mpmath.loggamma(mpmath.mpf(a))
+        exact = ((pt - 1) * lg(lam + 1) + lg(lam + 1 - alpha * pt) + lg(q + lam + 2)
+                 - pt * lg(lam + 1 - alpha) - lg(q + lam + 2 - pt * (q + alpha)))
+        assert float(abs(math.log(big_B(lam, alpha, pt, q)) - exact)) <= 1e-9
+
+
+@pytest.mark.parametrize("lam", [1e5, 1e6, 1e9, 1e20])
+def test_big_b_rejects_lambda_lost_to_rounding(lam):
+    # the five ln gamma values are ~lam ln lam; at lam = 1e6 the parent's
+    # ln B was off by 3e-9, at 1e15 by 5.6, at 1e20 it was meaningless
+    cert = theorem_bound(example_params(1, 0.9))
+    with pytest.raises(DomainError, match=r"is lost to rounding: .* above 1e-09"):
+        big_B(lam, 0.9, cert.p_tilde_j, cert.q_j)
+
+
 # ---------------------------------------------------------------------------
 # minimizer
 
@@ -188,6 +218,38 @@ def test_tau_bound_deterministic():
 def test_tau_bound_overflow():
     with pytest.raises(OverflowRangeError):
         tau_bound(ScalarBoundProblem(alpha=0.5, u0=1e-300, q=0.0, p=7.0))
+
+
+# ln B stand-ins for the minimizer under ScalarBoundProblem(0.5, 1, 0, 3),
+# whose domain starts at lo = -0.25; x = lam - lo
+def _falling(lam, alpha, p_tilde, q):
+    return -lam
+
+
+def _dip_off_the_minimum(lam, alpha, p_tilde, q):
+    x = lam + 0.25
+    return (x - 1.0) ** 2 - (5.0 if abs(x - 1.5) < 0.05 else 0.0)
+
+
+def _needle_beside_the_minimum(lam, alpha, p_tilde, q):
+    x = lam + 0.25
+    return (x - 1.0) ** 2 - (1e-3 if abs(x - 1.0 - 1e-6) < 1e-8 else 0.0)
+
+
+@pytest.mark.parametrize(
+    "ln_b,message",
+    [
+        (_falling, "no interior minimum of B"),
+        (_dip_off_the_minimum, "B is not unimodal on the bracket"),
+        (_needle_beside_the_minimum, "fails the local-minimum probe"),
+    ],
+)
+def test_minimizer_bracketing_errors(monkeypatch, ln_b, message):
+    problem = ScalarBoundProblem(alpha=0.5, u0=1.0, q=0.0, p=3.0)
+    assert b_domain_lower(problem.alpha, problem.p_tilde, problem.q) == -0.25
+    monkeypatch.setattr(bounds, "_ln_big_B", ln_b)
+    with pytest.raises(BracketingError, match=message):
+        tau_bound(problem)
 
 
 # ---------------------------------------------------------------------------

@@ -357,6 +357,22 @@ def test_b_curve_not_applicable(tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_b_curve_writes_inf_where_b_overflows(tmp_path):
+    # certified with q = 100 and p_tilde = 1.0033: ln B leaves the double
+    # range near lam = 1e3, where its rounding is still near 1e-11
+    text = MINIMAL_CFG.replace("p11 = 1.0", "q1 = 0.5\nq2 = 100.0\np11 = 5.0")
+    for name, value in (("p12", "300.0"), ("p21", "3.0"), ("p22", "2.0")):
+        text = re.sub(rf"{name} = \S+", f"{name} = {value}", text)
+    code, _ = run_cmd(cmd_b_curve, parse_config(text), lambda_min=1.0,
+                      lambda_max=3000.0, out_dir=tmp_path)
+    assert code == EXIT_OK
+    lines = (tmp_path / "scenario_alpha0.5_b.csv").read_text().splitlines()
+    cells = [line.split(",")[1] for line in lines[1:]]
+    k = cells.index("inf")
+    assert 0 < k and cells[k:] == ["inf"] * (len(cells) - k)
+    assert all(math.isfinite(float(c)) for c in cells[:k])
+
+
 def test_b_curve_bad_range_is_domain_error(tmp_path):
     from fracburst import DomainError
 
@@ -449,6 +465,15 @@ def test_main_b_curve_infinite_range(tmp_path, capsys):
     path = write_cfg(tmp_path, MINIMAL_CFG)
     assert main(["b-curve", str(path), "--lambda-max", "inf"]) == EXIT_CONFIG
     assert "must be finite, increasing and above" in capsys.readouterr().err
+
+
+def test_main_b_curve_lambda_lost_to_rounding(tmp_path, monkeypatch, capsys):
+    # ln B at lam = 1e20 is rounding only: b-curve stops before writing it
+    path = write_cfg(tmp_path, MINIMAL_CFG)
+    monkeypatch.chdir(tmp_path)
+    assert main(["b-curve", str(path), "--lambda-max", "1e20"]) == EXIT_CONFIG
+    assert "is lost to rounding" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["scn.cfg"]
 
 
 def test_main_undecodable_config(tmp_path, capsys):
