@@ -20,12 +20,17 @@ Checked with the standard-library ast module, so it needs no linter.
   benchmark reads, is in `fracburst.__all__`, and every call site the
   benchmark's tracer patches resolves. A removal from the public API
   then fails here instead of silently breaking a demo or the benchmark.
+- `import fracburst` loads only the standard library and numpy, checked
+  in a fresh interpreter.
 """
 
 from __future__ import annotations
 
 import ast
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -287,3 +292,19 @@ def call_sites() -> list[tuple[str, str]]:
 def test_bench_call_sites_resolve(site):
     module, attr = site
     assert callable(getattr(importlib.import_module(module), attr, None)), ".".join(site)
+
+
+def test_import_loads_only_the_standard_library_and_numpy():
+    # site startup may load third-party modules of its own, so compare
+    # the modules loaded before and after the import
+    code = ("import sys; before = set(sys.modules); import fracburst; "
+            "print(*sorted(set(sys.modules) - before))")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(REPO / "src"), env.get("PYTHONPATH")])
+    )
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, check=True)
+    loaded = {name.split(".")[0] for name in proc.stdout.split()}
+    assert "fracburst" in loaded and "numpy" in loaded
+    assert loaded - set(sys.stdlib_module_names) <= {"fracburst", "numpy"}
