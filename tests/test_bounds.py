@@ -143,8 +143,8 @@ def test_big_b_within_rounding_tolerance_of_mpmath(lam):
 
 @pytest.mark.parametrize("lam", [1e5, 1e6, 1e9, 1e20])
 def test_big_b_rejects_lambda_lost_to_rounding(lam):
-    # the five ln gamma values are ~lam ln lam; at lam = 1e6 the parent's
-    # ln B was off by 3e-9, at 1e15 by 5.6, at 1e20 it was meaningless
+    # the five ln gamma values are ~lam ln lam: unchecked, ln B is off by
+    # 3e-9 at lam = 1e6 and by 5.6 at 1e15, and meaningless at 1e20
     cert = theorem_bound(example_params(1, 0.9))
     with pytest.raises(DomainError, match=r"is lost to rounding: .* above 1e-09"):
         big_B(lam, 0.9, cert.p_tilde_j, cert.q_j)
