@@ -21,7 +21,12 @@ class DomainError(FracburstError, ValueError):
 
 
 class OverflowRangeError(FracburstError, OverflowError):
-    """A result exceeds the representable double-precision range."""
+    """A result lies outside the normal double-precision range.
+
+    Either it exceeds the largest double, or it is smaller in magnitude
+    than the smallest normal double (2.2e-308) and would come back as a
+    subnormal or zero without its accuracy.
+    """
 
 
 class NonConvergenceError(FracburstError, ArithmeticError):

@@ -9,15 +9,16 @@ decimal module, in a private context, so the caller's decimal settings
 never apply), with a running error budget and fixed truncation: stop
 below 1e-15 of the partial sum, give up after 400 terms. An evaluation
 either returns a value whose relative error is guaranteed below ~4e-11
-or raises the non-convergence error family. No path returns a value
-without its guarantee.
+or raises: the non-convergence error family, or the range error for a
+value outside the normal double range. No path returns a value without
+its guarantee.
 
 The coefficient 1/Gamma(alpha k + beta) of term k depends on (alpha,
 beta, k) only. Each one is memoized by functools.lru_cache, bounded at
 32 pairs' worth of terms and shared by every caller; a term is then the
-running 36-digit power |t|^k times the cached signed 1/Gamma (the
-reflection formula below zero), so a call on known terms evaluates no
-Gamma function, no exponential and no logarithm.
+running 36-digit power t^k times the cached signed 1/Gamma (one upward
+recurrence to Stirling's range on the whole line), so a call on known
+terms evaluates no Gamma function, no exponential and no logarithm.
 
 Typical usable ranges on the negative axis (raise beyond): alpha=0.3 up
 to |t|~3, alpha=0.5 up to ~6, alpha=0.9 beyond 20. On the positive axis
@@ -46,6 +47,7 @@ _LN_MAX = math.log(sys.float_info.max)  # 709.78...
 # Series truncation: stop once two consecutive non-pole terms fall below
 # _REL_TOL of the partial sum; raise after _MAX_TERMS terms.
 _REL_TOL = 1e-15
+_REL_TOL_DEC = Decimal(_REL_TOL)  # the same double, exactly
 _MAX_TERMS = 400
 
 # Guaranteed relative accuracy of every returned Mittag-Leffler value.
@@ -54,11 +56,11 @@ _MAX_TERMS = 400
 _REL_GUARANTEE = 4e-11
 
 # Per-unit-of-ln-magnitude relative error charged to one term; the unit
-# count is |k ln|t|| + |ln G| + 8. A term is 1/Gamma (36-digit ln_gamma,
-# exp, times sin(pi a)/pi below zero: measured worst case ~9e-35 per
-# unit, 3000 random coefficients against mpmath) times |t|^k formed by at
-# most 400 multiplications rounded at 5e-36 relative each, 2e-33 in all.
-# Both sit far below the constant floor 8 * 1e-31 that every term is
+# count is |k ln|t|| + |ln|G|| + 8. A term is 1/Gamma (36-digit Stirling
+# and rising product: measured worst case ~9.2e-35 per unit, 3000 random
+# coefficients and poles approached to 1e-6 against mpmath) times t^k
+# formed by at most 400 multiplications rounded at 5e-36 relative each,
+# 2e-33 in all. Both sit far below the floor 8 * 1e-31 that every term is
 # charged, so the charge needs no term for the product. Each term is
 # charged a further 2**-100 (~8e-31) of |T_k|, covering at most 400
 # additions rounded at 5e-37 relative each. Both are wider than 36 digits
@@ -116,6 +118,8 @@ def mittag_leffler(alpha: float, beta: float, t: float) -> float:
     Raises NonConvergenceError when the cap is hit (or when partial sums
     would leave the double range), and its PrecisionLossError subclass
     when cancellation pushes the guaranteed error bound above 4e-11.
+    Raises OverflowRangeError when the value lies outside the normal
+    double range, beyond it or below 2.2e-308 (subnormals and zero).
     """
     alpha = float(alpha)
     beta = float(beta)
@@ -156,14 +160,15 @@ def _evaluate(alpha: float, beta: float, t: float) -> tuple[float, float]:
         value = float(coef[1])
         if math.isinf(value):
             raise OverflowRangeError(f"1/gamma({beta}) exceeds the double-precision range")
+        _check_normal(value, f"1/gamma({beta})")
         return value, 2.0 ** -52
 
-    # T_k = +-|t|^k * 1/G, with the signed 1/G from _coefficient and |t|^k
-    # a running 36-digit product. alpha k + beta is formed exactly, so the
-    # pole test is exact too. One double |T_k| serves the magnitude guard
-    # (checked before T_k is added) and both error charges; with |T_k|
-    # below _TERM_MAX and each charge factor below 1e-20, 400 charges sum
-    # to under ~1e290, so the bound stays finite.
+    # T_k = t^k * 1/G, the signed 1/G from _coefficient times a running
+    # 36-digit t^k (rounding is symmetric in sign). One double |T_k| serves
+    # the magnitude guard (checked before T_k is added) and both error
+    # charges; with |T_k| below _TERM_MAX and each charge factor below
+    # 1e-20, 400 charges sum to under ~1e290, so the bound stays finite.
+    # The truncation test compares the 36-digit values.
     abs_bound = 0.0
     consec = 0
     converged = False
@@ -171,17 +176,17 @@ def _evaluate(alpha: float, beta: float, t: float) -> tuple[float, float]:
     ratio = 0.0
     lnt = math.log(abs(t))
     with localcontext(_CTX):
-        abs_t = Decimal(abs(t))
+        t_dec = Decimal(t)
         power = Decimal(1)
         total = Decimal(0)
         for k in range(_MAX_TERMS):
             if k:
-                power *= abs_t
+                power *= t_dec
             coef = _coefficient(alpha, beta, k)
             if coef is None:
                 continue  # pole: reciprocal gamma vanishes
             lg_abs, recip = coef
-            term = -power * recip if t < 0.0 and k % 2 else power * recip
+            term = power * recip
             abs_term = abs(float(term))
             if abs_term > _TERM_MAX:
                 raise _raise_magnitude(t)
@@ -190,7 +195,7 @@ def _evaluate(alpha: float, beta: float, t: float) -> tuple[float, float]:
             if prev_abs > 0.0 and abs_term > 0.0:
                 ratio = abs_term / prev_abs
             prev_abs = abs_term
-            if abs_term <= _REL_TOL * abs(float(total)):
+            if term.copy_abs() <= _REL_TOL_DEC * total.copy_abs():
                 consec += 1
                 if consec == 2:
                     converged = True
@@ -210,6 +215,7 @@ def _evaluate(alpha: float, beta: float, t: float) -> tuple[float, float]:
             f"series for E_{{{alpha},{beta}}}({t}) did not meet the "
             f"truncation test within {_MAX_TERMS} terms"
         )
+    _check_normal(value, f"E_{{{alpha},{beta}}}({t})")
     if abs(value) <= abs_bound:
         return value, math.inf
     # discarded tail, bounded by a geometric extension of the last ratio
@@ -218,48 +224,43 @@ def _evaluate(alpha: float, beta: float, t: float) -> tuple[float, float]:
     return value, abs_bound / abs(value) + tail
 
 
+def _check_normal(value: float, what: str) -> None:
+    if abs(value) < sys.float_info.min:  # a subnormal keeps too few bits
+        raise OverflowRangeError(f"{what} = {value!r} is below the normal double range")
+
+
 @functools.lru_cache(maxsize=_CACHED_TERMS)
 def _coefficient(alpha: float, beta: float, k: int) -> Optional[tuple[float, Decimal]]:
     """Coefficient of term k of E_{alpha,beta}, computed once and shared.
 
-    None at a pole, where 1/Gamma(a) vanishes, else (|ln Gamma| charged
-    for it, 1/Gamma(a) as one signed 36-digit value) at a = alpha k +
-    beta, formed exactly. Below zero by the reflection
-    1/Gamma(a) = Gamma(1-a) sin(pi a) / pi.
+    None at a pole, else (|ln|Gamma(a)|| charged for it, 1/Gamma(a) as
+    one signed 36-digit value) at a = alpha k + beta, formed exactly, by
+    1/Gamma(a) = a (a+1) ... (a+m-1) / Gamma(a+m) with a + m >= 32. Each
+    factor is an exact integer over the denominator of a, so nothing
+    cancels next to a pole, and the product carries the sign. Below -500
+    (532 factors) it is infinite: the first term that is no pole then
+    exceeds 1e487 for any double t and alpha, so the guard raises anyway.
     """
     a = Fraction(alpha) * k + Fraction(beta)
+    num, den = a.numerator, a.denominator
+    if num <= 0 and den == 1:
+        return None
+    if num < -500 * den:
+        return math.inf, Decimal("Infinity")
+    m = max(0, (_STIRLING_Z0 * den - num + den - 1) // den)  # ceil(32 - a)
     with localcontext(_CTX):
-        if a > 0:
-            lg = _ln_gamma_hp(_dec(a))
-            return abs(float(lg)), (-lg).exp()
-        if a.denominator == 1:
-            return None
-        lg = _ln_gamma_hp(_dec(1 - a))
-        return abs(float(lg)), _sin_pi(a) / _PI * lg.exp()
+        rising = Decimal(1)  # den^m a (a+1) ... (a+m-1)
+        for factor in range(num, num + m * den, den):
+            rising *= factor
+        lg = _ln_gamma_hp(Decimal(num + m * den) / den)
+        if m:
+            lg -= (abs(rising) / Decimal(den) ** m).ln()
+        recip = (-lg).exp()
+        return abs(float(lg)), -recip if rising < 0 else recip
 
 
 # ---------------------------------------------------------------------------
 # 36-digit helpers; call them inside localcontext(_CTX)
-
-def _dec(x: Fraction) -> Decimal:
-    return Decimal(x.numerator) / x.denominator
-
-
-def _sin_pi(x: Fraction) -> Decimal:
-    """sin(pi x) for an exact rational x, exactly zero at the integers."""
-    n = round(x)
-    u = _PI * _dec(x - n)  # |u| <= pi/2
-    u2 = -u * u
-    s = term = u
-    prev = None
-    m = 2
-    while s != prev:
-        prev = s
-        term *= u2 / (m * (m + 1))
-        s += term
-        m += 2
-    return -s if n % 2 else s
-
 
 def _bernoulli_even(count: int) -> list[Fraction]:
     """B_2, B_4, ..., B_2count by the standard recurrence."""
@@ -274,32 +275,24 @@ def _bernoulli_even(count: int) -> list[Fraction]:
 
 
 def _ln_gamma_hp(z: Decimal) -> Decimal:
-    """ln Gamma(z) for z > 0 at the working precision.
+    """ln Gamma(z) for z >= 32 at the working precision.
 
-    Stirling with 16 exact-rational Bernoulli coefficients after shifting
-    the argument to 32 or above, where the tail is below 8.2e-42 absolute.
+    Stirling with 16 exact-rational Bernoulli coefficients; at z >= 32
+    the tail is below 8.2e-42 absolute.
     """
-    shift = 0
-    if z < _STIRLING_Z0:
-        m = math.ceil(_STIRLING_Z0 - z)
-        prod = z
-        for i in range(1, m):
-            prod *= z + i
-        shift = prod.ln()
-        z += m
     w = 1 / (z * z)
     s = 0
     for c in reversed(_STIRLING_COEF):
         s = s * w + c
-    return (z - _HALF) * z.ln() - z + _HALF_LN_2PI + s / z - shift
+    return (z - _HALF) * z.ln() - z + _HALF_LN_2PI + s / z
 
 
 _STIRLING_Z0 = 32
 _HALF = Decimal("0.5")
 with localcontext(_CTX):
     _HALF_LN_2PI = (2 * _PI).ln() / 2
-    # B_2n / (2n (2n-1))
+    # B_2n / (2n (2n-1)), one correctly rounded division each
     _STIRLING_COEF = [
-        _dec(B / ((2 * n) * (2 * n - 1)))
+        Decimal(B.numerator) / (B.denominator * (2 * n) * (2 * n - 1))
         for n, B in enumerate(_bernoulli_even(16), start=1)
     ]

@@ -12,6 +12,7 @@ import decimal
 import math
 import sys
 import threading
+import time
 from decimal import Decimal
 from fractions import Fraction
 
@@ -202,11 +203,19 @@ def test_caller_decimal_context_is_ignored():
      2.5e-5, 1e-3, 0.999, 7.5, 64.0, 1e8],
 )
 def test_ln_gamma_hp_against_mpmath(x):
-    with decimal.localcontext(special._CTX):
-        v = mpmath.mpf(str(special._ln_gamma_hp(Decimal(x))))
     exact = mpmath.loggamma(x)
     # lnGamma vanishes at 1 and 2, so measure against max(1, |value|)
-    assert float(abs(v - exact)) <= 1e-28 * max(1.0, float(abs(exact)))
+    tol = 1e-28 * max(1.0, float(abs(exact)))
+    if x >= special._STIRLING_Z0:
+        with decimal.localcontext(special._CTX):
+            v = mpmath.mpf(str(special._ln_gamma_hp(Decimal(x))))
+        assert float(abs(v - exact)) <= tol
+    else:
+        # below 32 the coefficient's recurrence reaches Stirling's range
+        lg_abs, recip = special._coefficient(0.5, x, 0)
+        assert abs(lg_abs - float(abs(exact))) <= tol
+        rel = abs(mpmath.mpf(str(recip)) * mpmath.gamma(x) - 1)
+        assert float(rel) <= 1e-28
 
 
 @pytest.mark.parametrize(
@@ -229,10 +238,45 @@ def test_ln_gamma_hp_against_mpmath(x):
     ],
 )
 def test_sin_pi(x, exact):
-    with decimal.localcontext(special._CTX):
-        v = mpmath.mpf(str(special._sin_pi(Fraction(x))))
-    ref = mpmath.sin(mpmath.pi * mpmath.mpf(x)) if exact is None else mpmath.mpf(exact)
-    assert float(abs(v - ref)) <= 1e-31
+    # 1/Gamma(x) at zeros and extremes of sin(pi x), up to x = 1e15 + 0.5;
+    # below one it takes the sign of sin(pi x): 1/Gamma(x) = Gamma(1-x)
+    # sin(pi x) / pi with Gamma(1-x) > 0
+    lg_abs, recip = special._coefficient(0.5, x, 0)
+    with mpmath.workdps(60):
+        ln_abs_gamma = mpmath.loggamma(x).real
+        if ln_abs_gamma > -special._CTX.Etiny() * mpmath.log(10):
+            # below the 36-digit range: the charge still holds |ln Gamma|
+            assert recip == 0 and lg_abs == float(abs(ln_abs_gamma))
+            return
+        # exp(-ln|Gamma|) carries the rounding of a 36-digit |ln Gamma|,
+        # about 5e-36 of it, which passes 1e-31 at x = 123456.75
+        rel = abs(mpmath.mpf(str(recip)) * mpmath.gamma(x) - 1)
+        assert float(rel) <= max(1e-31, 1e-34 * lg_abs)
+    sin = mpmath.sin(mpmath.pi * mpmath.mpf(x)) if exact is None else exact
+    if x < 1.0:
+        assert (recip > 0) == (sin > 0)
+
+
+@pytest.mark.parametrize(
+    "alpha,beta,k",
+    # alpha k + beta = -2 + 5.6e-17 exactly, 1e-6 on either side of -7 and
+    # -31, then the poles -1 and -2
+    [(0.1, -3.0, 10), (1e-6, -7.0, 1), (1.0 - 1e-6, -8.0, 1), (1e-6, -31.0, 1),
+     (0.5, -1.0, 0), (0.25, -3.0, 4)],
+)
+def test_coefficient_at_and_next_to_a_pole(alpha, beta, k):
+    # each factor of the rising product is an exact integer, so the one
+    # that nearly vanishes is formed without cancellation
+    a = Fraction(alpha) * k + Fraction(beta)
+    coef = special._coefficient(alpha, beta, k)
+    if a.denominator == 1:
+        assert coef is None
+        return
+    lg_abs, recip = coef
+    with mpmath.workdps(60):
+        ref = mpmath.rgamma(mpmath.mpf(a.numerator) / a.denominator)
+        assert float(abs(mpmath.mpf(str(recip)) / ref - 1)) <= 1e-31
+        assert lg_abs == pytest.approx(float(abs(mpmath.log(abs(ref)))), rel=1e-15)
 
 
 def test_decimal_constants():
@@ -277,7 +321,7 @@ def series_term(alpha, beta, t, k):
         (0.05, 0.05, 1e-3, 3),
         (0.6, 2.0, -16.0, 120),
         (0.4, -1.3, -4.5, 399),
-        # negative Gamma arguments: the reflection branch
+        # negative Gamma arguments: the rising product changes sign
         (0.3, -0.6, -1.0, 1),
         (0.3, -3.0, 2.0, 3),
         (0.7, -5.0, 0.5, 4),
@@ -349,6 +393,65 @@ def test_recip_gamma_overflow():
     assert math.isfinite(mittag_leffler(0.5, -170.5, 0.0))
     with pytest.raises(OverflowRangeError):
         mittag_leffler(0.5, -200.5, 0.0)
+
+
+@pytest.mark.parametrize(
+    "alpha,beta,t",
+    # exact values 2.5e-373, 6.7e-320, 1.6e-316, 1.6e-316, 6.7e-320 (both
+    # signs), 5.2e-321, then three sums whose terms all underflow a double
+    [(0.5, 200.0, 0.0), (0.5, 176.5, 0.0), (0.5, 175.0, 0.0), (0.5, 175.0, 1e-3),
+     (0.5, 176.5, 1e-3), (0.5, 176.5, -1e-3), (0.9, 177.0, 2.0),
+     (0.5, 200.0, 1e-3), (0.5, 1000.0, 1.0), (0.5, 1e6, 2.0)],
+)
+def test_value_below_the_normal_range_raises(alpha, beta, t):
+    # a subnormal double keeps too few bits for the guarantee, zero none
+    with pytest.raises(OverflowRangeError, match="below the normal double range"):
+        mittag_leffler(alpha, beta, t)
+
+
+def test_normal_range_boundary():
+    # 1/Gamma(171) is the last integer-beta value inside the normal range
+    assert mittag_leffler(0.5, 171.0, 0.0) == 1.3779009677917706e-307
+    assert mittag_leffler(0.5, 171.0, 1e-3) > sys.float_info.min
+    with pytest.raises(OverflowRangeError):
+        mittag_leffler(0.5, 171.5, 0.0)  # 1/Gamma(171.5) ~ 1.05e-308
+    assert mittag_leffler(0.5, -3.0, 0.0) == 0.0  # a pole stays an exact zero
+
+
+def guard_outcome(beta, t):
+    """Type and message of the magnitude guard, or of the range check at t = 0."""
+    if t == 0.0:
+        return OverflowRangeError, f"1/gamma({beta}) exceeds the double-precision range"
+    if t > 0.0:
+        return NonConvergenceError, ("partial sums exceed the double-precision range "
+                                     "before the truncation test is met")
+    return PrecisionLossError, ("alternating series with peak terms beyond the double "
+                                "range; no attainable precision recovers the sum")
+
+
+@pytest.mark.parametrize(
+    "beta,t",
+    [(-1e6 - 0.5, 1.0), (-1e6 - 0.5, 0.0), (-1e6 - 0.5, -2.0), (-3e5 - 0.25, -2.0),
+     (-1e300, 1.0)],
+)
+def test_far_negative_beta_raises_a_package_error_at_once(beta, t):
+    # the first term that is no pole exceeds 1e487, so the magnitude guard
+    # (or, at t = 0, the range check) raises before any Gamma is formed
+    raise_type, message = guard_outcome(beta, t)
+    start = time.perf_counter()
+    with pytest.raises(raise_type) as info:
+        mittag_leffler(0.5, beta, t)
+    assert time.perf_counter() - start < 0.1
+    assert type(info.value) is raise_type and str(info.value) == message
+
+
+@pytest.mark.parametrize("beta", [-600.5, -5000.25, -1e5 - 0.5])
+@pytest.mark.parametrize("t", [0.0, 1e-300, -1e-300, 1.0, -1.0, 5.0, -5.0])
+def test_negative_beta_beyond_the_cutoff_keeps_its_raise(beta, t):
+    raise_type, message = guard_outcome(beta, t)
+    with pytest.raises(raise_type) as info:
+        mittag_leffler(0.5, beta, t)
+    assert type(info.value) is raise_type and str(info.value) == message
 
 
 # ---------------------------------------------------------------------------
