@@ -247,7 +247,7 @@ def _coefficient(alpha: float, beta: float, k: int) -> Optional[tuple[float, Dec
         return None
     if num < -500 * den:
         return math.inf, Decimal("Infinity")
-    m = max(0, (_STIRLING_Z0 * den - num + den - 1) // den)  # ceil(32 - a)
+    m = max(0, -((num - _STIRLING_Z0 * den) // den))  # ceil(32 - a)
     with localcontext(_CTX):
         rising = Decimal(1)  # den^m a (a+1) ... (a+m-1)
         for factor in range(num, num + m * den, den):
