@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass, field
 
 from .errors import BracketingError, DomainError, NotApplicableError, OverflowRangeError
-from .special import ln_gamma, _LN_MAX
+from .special import _LN_MAX
 
 __all__ = [
     "ScalarBoundProblem",
@@ -162,14 +162,18 @@ def _ln_big_B(lam: float, alpha: float, p_tilde: float, q: float) -> float:
                     ("q+lam+2-p_tilde*(q+alpha)", a5)):
         if not (a > 0.0):
             raise DomainError(f"gamma argument {name} = {a} is not positive")
-    g1, g2, g3 = ln_gamma(a1), ln_gamma(a2), ln_gamma(a3)
-    g4, g5 = ln_gamma(a4), ln_gamma(a5)
+    try:
+        g1, g2, g3 = math.lgamma(a1), math.lgamma(a2), math.lgamma(a3)
+        g4, g5 = math.lgamma(a4), math.lgamma(a5)
+    except OverflowError:  # ln Gamma leaves the double range past ~2.6e305
+        g1 = g2 = g3 = g4 = g5 = math.inf
     # each ln Gamma is rounded at about 2**-52 of itself, and they grow
     # like lam ln lam while ln B grows like ln lam, so large lam leaves
-    # only rounding; the minimizer's scan compares ln B at _LN_B_TOL too
+    # only rounding; the minimizer's scan compares ln B at _LN_B_TOL too.
+    # An infinite argument makes err inf, or nan where it meets a zero factor
     err = 2.0 ** -52 * (abs((p_tilde - 1.0) * g1) + abs(g2) + abs(g3)
                         + abs(p_tilde * g4) + abs(g5))
-    if err > _LN_B_TOL:
+    if not err <= _LN_B_TOL:
         raise DomainError(
             f"ln B({lam}) is lost to rounding: its five ln gamma terms leave "
             f"an error up to {err:.1e}, above {_LN_B_TOL:.0e}"
@@ -271,9 +275,9 @@ def tau_bound(problem: ScalarBoundProblem) -> ScalarBoundResult:
     p_tilde = problem.p_tilde
     lam_m, ln_b_min, bracket = _minimize_ln_big_B(problem)
     ln_tau = (
-        ln_gamma(problem.q * (1.0 - p_tilde) + 1.0)
+        math.lgamma(problem.q * (1.0 - p_tilde) + 1.0)
         - problem.p * math.log(problem.u0)
-        - ln_gamma(problem.q + 1.0)
+        - math.lgamma(problem.q + 1.0)
         + ln_b_min
     ) / (p_tilde * (problem.alpha + problem.q))
     if ln_tau > _LN_MAX or ln_b_min > _LN_MAX:
@@ -286,24 +290,22 @@ def tau_bound(problem: ScalarBoundProblem) -> ScalarBoundResult:
     )
 
 
-# (branch, j): the PowerLawParams fields that play (p_ij, p_ji, p_ii, p_jj)
-# when the system is reduced onto component j and i = 3 - j is eliminated.
-# Equal-q branch 1 is the j = 1 reduction with the columns exchanged.
-_EXPONENTS = {
-    (Branch.DISTINCT_Q, 1): ("p21", "p12", "p22", "p11"),
-    (Branch.DISTINCT_Q, 2): ("p12", "p21", "p11", "p22"),
-    (Branch.EQUAL_Q_BRANCH1, 1): ("p22", "p11", "p21", "p12"),
-    (Branch.EQUAL_Q_BRANCH2, 2): ("p12", "p21", "p11", "p22"),
+# The case analysis, keyed by the sign of q1 - q2. Each row reduces onto
+# component j, eliminating i = 3 - j: the PowerLawParams fields that play
+# (p_ij, p_ji, p_ii, p_jj, u_j, q_j) and its violations' label. Equal-q
+# branch 1 is the j = 1 reduction with the exponent columns exchanged.
+_REDUCTIONS = {
+    1: ((Branch.DISTINCT_Q, 1, ("p21", "p12", "p22", "p11", "x0", "q1"), ""),),
+    -1: ((Branch.DISTINCT_Q, 2, ("p12", "p21", "p11", "p22", "y0", "q2"), ""),),
+    0: ((Branch.EQUAL_Q_BRANCH1, 1, ("p22", "p11", "p21", "p12", "x0", "q1"), "branch 1: "),
+        (Branch.EQUAL_Q_BRANCH2, 2, ("p12", "p21", "p11", "p22", "y0", "q2"), "branch 2: ")),
 }
 
 
-def _reduce(params: PowerLawParams, branch: Branch, j: int):
+def _reduce(params: PowerLawParams, branch: Branch, j: int, fields: tuple[str, ...]):
     """Reduce the system onto component j: (certificate, []) or (None, violations)."""
-    fields = _EXPONENTS[branch, j]
-    p_ij, p_ji, p_ii, p_jj = (getattr(params, f) for f in fields)
-    l_ij, l_ji, l_ii, l_jj = (f"p_{f[1:]}" for f in fields)
-    u_j = params.x0 if j == 1 else params.y0
-    q_j = params.q1 if j == 1 else params.q2
+    p_ij, p_ji, p_ii, p_jj, u_j, q_j = (getattr(params, f) for f in fields)
+    l_ij, l_ji, l_ii, l_jj = (f"p_{f[1:]}" for f in fields[:4])
     gamma_j = (p_ij + 1.0 - p_ji) / 2.0
     p_j = p_ji + p_jj * gamma_j
     violations = []
@@ -344,26 +346,20 @@ def _reduce(params: PowerLawParams, branch: Branch, j: int):
 def theorem_bound(params: PowerLawParams) -> BoundCertificate:
     """Case analysis reducing the system to a scalar bound.
 
-    Distinct time exponents single out the component with the larger one;
-    equal exponents allow two symmetric reductions and both are tried,
-    returning the smaller bound when both apply (which needs p_11 + 1 and
-    p_11 + 3 to round to the same double). When no branch's
-    hypotheses hold the theorem says nothing and NotApplicableError
-    carries every violated condition.
+    Tries the rows of _REDUCTIONS for the sign of q1 - q2. Distinct time
+    exponents give one row, onto the component with the larger one; equal
+    exponents give branch 2 onto y and branch 1, the reduction onto x with
+    the exponent columns exchanged. The smaller bound is returned when
+    both apply (which needs p_11 + 1 and p_11 + 3 to round to the same
+    double). When no row's hypotheses hold the theorem says nothing and
+    NotApplicableError carries every violated condition.
     """
-    if params.q1 != params.q2:
-        # the component with the larger time exponent survives the reduction
-        j = 2 if params.q1 < params.q2 else 1
-        cert, violations = _reduce(params, Branch.DISTINCT_Q, j)
-        if cert is None:
-            raise NotApplicableError(violations)
-        return cert
-
-    cert1, viol1 = _reduce(params, Branch.EQUAL_Q_BRANCH1, 1)
-    cert2, viol2 = _reduce(params, Branch.EQUAL_Q_BRANCH2, 2)
-    certs = [cert for cert in (cert1, cert2) if cert is not None]
+    certs, violations = [], []
+    for branch, j, fields, label in _REDUCTIONS[(params.q1 > params.q2) - (params.q1 < params.q2)]:
+        cert, found = _reduce(params, branch, j, fields)
+        if cert is not None:
+            certs.append(cert)
+        violations += [label + v for v in found]
     if certs:
         return min(certs, key=lambda cert: cert.tau_ub)
-    raise NotApplicableError(
-        [f"branch 1: {v}" for v in viol1] + [f"branch 2: {v}" for v in viol2]
-    )
+    raise NotApplicableError(violations)

@@ -4,8 +4,8 @@ Subcommands: bound (certificate per alpha), solve (trajectory CSV + plot
 script), detect (blow-up time report), b-curve (B(lambda) CSV + plot
 script), reproduce (the three benchmark tables plus all trajectory CSVs).
 
-Exit codes: 0 success, 2 configuration error, 3 blow-up theorem not
-applicable, 4 numeric failure.
+Exit codes: 0 success, 2 configuration error or unwritable output, 3
+blow-up theorem not applicable, 4 numeric failure.
 """
 
 from __future__ import annotations
@@ -306,6 +306,10 @@ def main(argv: Optional[list[str]] = None) -> int:
         return cmd_b_curve(cfg, args.lambda_min, args.lambda_max)
     except (ConfigError, DomainError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except OSError as exc:
+        # load_config turns read failures into ConfigError, so this is output
+        print(f"cannot write output: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except FracburstError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)

@@ -181,7 +181,7 @@ def parse_config(text: str, default_name: str = "scenario") -> ScenarioConfig:
 def load_config(path: str | Path) -> ScenarioConfig:
     path = Path(path)
     try:
-        text = path.read_text()
+        text = path.read_text(encoding="utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     return parse_config(text, default_name=path.stem)

@@ -27,7 +27,6 @@ from typing import Callable, Union
 import numpy as np
 
 from .errors import DomainError
-from .special import gamma
 
 __all__ = [
     "SystemSpec",
@@ -160,8 +159,8 @@ def solve(spec: SystemSpec, config: SolverConfig) -> Trajectory:
     f = spec.rhs
     x0 = spec.initial_state
     c1r, c2r, a0 = _weight_tables(N, alpha)
-    pred_coef = h ** alpha / alpha / gamma(alpha)
-    corr_coef = h ** alpha / gamma(alpha + 2.0)
+    pred_coef = h ** alpha / alpha / math.gamma(alpha)
+    corr_coef = h ** alpha / math.gamma(alpha + 2.0)
 
     states = np.empty((N + 1, n_dim))
     fvals = np.empty((N + 1, n_dim))
@@ -222,7 +221,7 @@ def l1_caputo(samples: np.ndarray, alpha: float, h: float) -> np.ndarray:
     m = u.shape[0] - 1
     g = np.arange(1, m + 1, dtype=float) ** (1.0 - alpha)
     g = np.concatenate(([g[0]], g[1:] - g[:-1]))  # g[m] = (m+1)^(1-a) - m^(1-a)
-    coef = h ** -alpha / gamma(2.0 - alpha)
+    coef = h ** -alpha / math.gamma(2.0 - alpha)
     du = np.diff(u.reshape(m + 1, -1), axis=0)
     out = np.empty_like(du)
     for c in range(du.shape[1]):

@@ -13,7 +13,7 @@ from dataclasses import replace
 
 import mpmath
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from paper_tables import BENCH_ALPHAS, LAMBDA_REF, TAU_REF
@@ -148,6 +148,15 @@ def test_big_b_rejects_lambda_lost_to_rounding(lam):
     cert = theorem_bound(example_params(1, 0.9))
     with pytest.raises(DomainError, match=r"is lost to rounding: .* above 1e-09"):
         big_B(lam, 0.9, cert.p_tilde_j, cert.q_j)
+
+
+@pytest.mark.parametrize("lam, p_tilde", [(1e306, 2.0), (1.7e308, 2.0), (math.inf, 2.0),
+                                          (math.inf, 1.0)])
+def test_big_b_past_the_ln_gamma_range_is_lost_to_rounding(lam, p_tilde):
+    # math.lgamma overflows past an argument of ~2.6e305 and is inf at inf;
+    # with p_tilde = 1 the error bound meets 0 * inf and reads nan
+    with pytest.raises(DomainError, match=r"is lost to rounding: .* up to (inf|nan), above"):
+        big_B(lam, 0.5, p_tilde, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -353,6 +362,41 @@ def test_systems_that_never_blow_up_outlive_ten_bounds(p22, tau_ub):
     # the witness behind the xfail above: the run completes far past tau_ub
     config = SolverConfig(T=10.0 * tau_ub, N=2 ** 12, overflow_threshold=1e300)
     assert solve(system_spec(never_blow_up_params(p22)), config).status == Completed()
+
+
+@st.composite
+def global_family(draw):
+    """p21 = 0, p11 <= 1, p22 <= 1, or the mirror p12 = 0: no member blows up.
+
+    With p21 = 0, y solves the sublinear D^a y = t^q2 y^p22 on its own
+    and x, at most linear in itself, is global given y; the mirror swaps
+    the roles. Half the members have q1 = q2.
+    """
+    alpha = draw(st.floats(min_value=0.05, max_value=0.95))
+    q1 = draw(st.floats(min_value=0.0, max_value=2.0))
+    q2 = q1 if draw(st.booleans()) else draw(st.floats(min_value=0.0, max_value=2.0))
+    p11 = draw(st.floats(min_value=0.0, max_value=1.0))
+    p22 = draw(st.floats(min_value=0.0, max_value=1.0))
+    cross = draw(st.floats(min_value=0.0, max_value=12.0))
+    p12, p21 = (cross, 0.0) if draw(st.booleans()) else (0.0, cross)
+    x0 = draw(st.floats(min_value=0.1, max_value=5.0))
+    y0 = draw(st.floats(min_value=0.1, max_value=5.0))
+    return PowerLawParams(alpha=alpha, q1=q1, q2=q2, p11=p11, p12=p12,
+                          p21=p21, p22=p22, x0=x0, y0=y0)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="the same reduction certifies members of the family with "
+    "p_j > 1 (ROADMAP item 1, retired by its step 4)",
+)
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(global_family())
+@example(never_blow_up_params(0.75))
+@example(never_blow_up_params(1.0))
+def test_bound_rejects_a_family_that_never_blows_up(params):
+    with pytest.raises(NotApplicableError):
+        theorem_bound(params)
 
 
 @pytest.mark.parametrize(

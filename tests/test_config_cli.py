@@ -483,6 +483,44 @@ def test_main_undecodable_config(tmp_path, capsys):
     assert "config error: cannot read config" in capsys.readouterr().err
 
 
+def test_load_config_drops_a_byte_order_mark(tmp_path):
+    # editors on some systems save UTF-8 with a leading U+FEFF
+    path = tmp_path / "bom.cfg"
+    path.write_bytes(b"\xef\xbb\xbf" + EXAMPLE1_CFG.encode())
+    cfg = load_config(path)
+    assert cfg.name == "bench1"
+    assert cfg == parse_config(EXAMPLE1_CFG)
+
+
+def assert_unwritable(capsys, name):
+    err = capsys.readouterr().err
+    assert err.startswith("cannot write output: ") and err.count("\n") == 1, err
+    assert name in err
+
+
+def test_main_reproduce_out_dir_is_a_file(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "taken").write_text("")
+    assert main(["reproduce", "--out-dir", "taken"]) == EXIT_CONFIG
+    assert_unwritable(capsys, "taken")
+
+
+def test_main_solve_csv_path_is_a_directory(tmp_path, monkeypatch, capsys):
+    path = write_cfg(tmp_path, MINIMAL_CFG + "[solver]\nT = 0.01\nN = 16\n")
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "scn_alpha0.5.csv").mkdir()
+    assert main(["solve", str(path)]) == EXIT_CONFIG
+    assert_unwritable(capsys, "scn_alpha0.5.csv")
+
+
+def test_main_b_curve_plot_path_is_a_directory(tmp_path, monkeypatch, capsys):
+    path = write_cfg(tmp_path, MINIMAL_CFG)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "scn_alpha0.5_b.plot").mkdir()
+    assert main(["b-curve", str(path)]) == EXIT_CONFIG
+    assert_unwritable(capsys, "scn_alpha0.5_b.plot")
+
+
 def test_main_detect_numeric_failure(tmp_path, capsys):
     text = """\
 [system]
