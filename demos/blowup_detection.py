@@ -38,7 +38,7 @@ def main() -> None:
 
     banner(f"{scenario.name}: the certificate")
     print(f"branch {cert.branch.name} applies with j = {cert.j}, "
-          f"gamma_j = {cert.gamma_j:g}, p_j = {cert.p_j:g}")
+          f"gamma_j = {cert.gamma_j:g}, p_j = {cert.problem.p:g}")
     print(f"certified blow-up upper bound tau_ub = {cert.tau_ub:.6f}")
     print(f"detection horizon T = {scenario.base_config.T:.6f} "
           f"(a few percent above the bound)")

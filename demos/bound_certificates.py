@@ -42,7 +42,7 @@ def main() -> None:
         for alpha in EXAMPLE_ALPHAS:
             cert = theorem_bound(example_params(example, alpha))
             cells = (f"{alpha:g}", cert.branch.name, f"{cert.j}",
-                     f"{cert.gamma_j:.4f}", f"{cert.p_j:.4f}",
+                     f"{cert.gamma_j:.4f}", f"{cert.problem.p:.4f}",
                      f"{cert.scalar.lambda_m:.6f}", f"{cert.scalar.B_min:.6f}",
                      f"{cert.tau_ub:.6f}")
             print("  " + "".join(f"{c:>{w}s}" for c, w in zip(cells, widths)))

@@ -1,10 +1,10 @@
 """Finite-time blow-up upper bounds for power-law Caputo systems.
 
-The scalar bound tau(u0, q, p) comes from minimizing the gamma-ratio
-function B over its admissible half-line; the system-level certificate
-reduces the two-component system to that scalar bound through a case
-analysis on the time exponents. Everything is evaluated in log space:
-B mixes gamma values across hundreds of orders of magnitude.
+Two steps: _reduce turns the two-component system into a scalar problem
+D^a u >= t^q u^p, u(0) = u0, by a case analysis on the time exponents,
+and tau_bound bounds it by minimizing the gamma-ratio function B over
+its admissible half-line. Everything is evaluated in log space: B mixes
+gamma values across hundreds of orders of magnitude.
 """
 
 from __future__ import annotations
@@ -138,17 +138,17 @@ class PowerLawParams:
 
 @dataclass(frozen=True)
 class BoundCertificate:
-    """Applicable branch plus the derived scalar problem and its bound."""
+    """Applicable branch, its reduced problem and scalar = tau_bound(problem)."""
 
     branch: Branch
     j: int
     gamma_j: float
-    p_j: float
-    p_tilde_j: float
-    u_j: float
-    q_j: float
+    problem: ScalarBoundProblem
     scalar: ScalarBoundResult
-    tau_ub: float
+
+    @property
+    def tau_ub(self) -> float:
+        return self.scalar.tau_ub
 
 
 def _ln_big_B(lam: float, alpha: float, p_tilde: float, q: float) -> float:
@@ -290,10 +290,11 @@ def tau_bound(problem: ScalarBoundProblem) -> ScalarBoundResult:
     )
 
 
-# The case analysis, keyed by the sign of q1 - q2. Each row reduces onto
-# component j, eliminating i = 3 - j: the PowerLawParams fields that play
-# (p_ij, p_ji, p_ii, p_jj, u_j, q_j) and its violations' label. Equal-q
-# branch 1 is the j = 1 reduction with the exponent columns exchanged.
+# The case analysis, keyed by the sign of q1 - q2 (distinct q reduce onto
+# the larger). Each row reduces onto component j, eliminating i = 3 - j:
+# the PowerLawParams fields that play (p_ij, p_ji, p_ii, p_jj, u_j, q_j)
+# and its violations' label. Equal-q branch 1 is j = 1 with the exponent
+# columns exchanged.
 _REDUCTIONS = {
     1: ((Branch.DISTINCT_Q, 1, ("p21", "p12", "p22", "p11", "x0", "q1"), ""),),
     -1: ((Branch.DISTINCT_Q, 2, ("p12", "p21", "p11", "p22", "y0", "q2"), ""),),
@@ -302,8 +303,12 @@ _REDUCTIONS = {
 }
 
 
-def _reduce(params: PowerLawParams, branch: Branch, j: int, fields: tuple[str, ...]):
-    """Reduce the system onto component j: (certificate, []) or (None, violations)."""
+def _reduce(params: PowerLawParams, j: int, fields: tuple[str, ...]):
+    """Reduce onto component j, eliminating i = 3 - j; bounds nothing.
+
+    Returns (gamma_j, the problem D^a u >= t^q_j u^p_j, u(0) = u_j), or
+    the list of violated hypotheses.
+    """
     p_ij, p_ji, p_ii, p_jj, u_j, q_j = (getattr(params, f) for f in fields)
     l_ij, l_ji, l_ii, l_jj = (f"p_{f[1:]}" for f in fields[:4])
     gamma_j = (p_ij + 1.0 - p_ji) / 2.0
@@ -314,52 +319,36 @@ def _reduce(params: PowerLawParams, branch: Branch, j: int, fields: tuple[str, .
     if not p_ii + 1.0 >= p_jj:
         violations.append(f"{l_ii} + 1 >= {l_jj} fails: {p_ii + 1.0} < {p_jj}")
     if p_j <= 1.0:
-        violations.append(
-            f"derived exponent p_{j} = {p_j} does not exceed 1, so its "
-            "conjugate index is undefined"
-        )
+        violations.append(f"derived exponent p_{j} = {p_j} does not exceed 1, "
+                          "so its conjugate index is undefined")
     else:
         p_tilde = conjugate_index(p_j)
         if not (q_j + 1.0 > q_j * p_tilde):
-            violations.append(
-                f"admissibility q_{j}+1 > q_{j}*p_tilde_{j} fails: "
-                f"{q_j + 1} <= {q_j * p_tilde}"
-            )
+            violations.append(f"admissibility q_{j}+1 > q_{j}*p_tilde_{j} fails: "
+                              f"{q_j + 1} <= {q_j * p_tilde}")
     if violations:
-        return None, violations
-    problem = ScalarBoundProblem(alpha=params.alpha, u0=u_j, q=q_j, p=p_j)
-    scalar = tau_bound(problem)
-    cert = BoundCertificate(
-        branch=branch,
-        j=j,
-        gamma_j=gamma_j,
-        p_j=p_j,
-        p_tilde_j=problem.p_tilde,
-        u_j=u_j,
-        q_j=q_j,
-        scalar=scalar,
-        tau_ub=scalar.tau_ub,
-    )
-    return cert, []
+        return violations
+    return gamma_j, ScalarBoundProblem(alpha=params.alpha, u0=u_j, q=q_j, p=p_j)
 
 
 def theorem_bound(params: PowerLawParams) -> BoundCertificate:
     """Case analysis reducing the system to a scalar bound.
 
-    Tries the rows of _REDUCTIONS for the sign of q1 - q2. Distinct time
-    exponents give one row, onto the component with the larger one; equal
-    exponents give branch 2 onto y and branch 1, the reduction onto x with
-    the exponent columns exchanged. The smaller bound is returned when
-    both apply (which needs p_11 + 1 and p_11 + 3 to round to the same
-    double). When no row's hypotheses hold the theorem says nothing and
-    NotApplicableError carries every violated condition.
+    Tries the rows of _REDUCTIONS for the sign of q1 - q2 in order, and
+    bounds each reduced problem by tau_bound before the next row. The
+    smaller bound is returned when both equal-q rows apply (which needs
+    p_11 + 1 and p_11 + 3 to round to the same double). When no row's
+    hypotheses hold the theorem says nothing and NotApplicableError
+    carries every violated condition.
     """
     certs, violations = [], []
     for branch, j, fields, label in _REDUCTIONS[(params.q1 > params.q2) - (params.q1 < params.q2)]:
-        cert, found = _reduce(params, branch, j, fields)
-        if cert is not None:
-            certs.append(cert)
-        violations += [label + v for v in found]
+        reduced = _reduce(params, j, fields)
+        if isinstance(reduced, list):
+            violations += [label + v for v in reduced]
+        else:
+            gamma_j, problem = reduced
+            certs.append(BoundCertificate(branch, j, gamma_j, problem, tau_bound(problem)))
     if certs:
         return min(certs, key=lambda cert: cert.tau_ub)
     raise NotApplicableError(violations)

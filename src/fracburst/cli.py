@@ -24,7 +24,7 @@ from .bounds import (
     big_B,
     theorem_bound,
 )
-from .config import ScenarioConfig, load_config
+from .config import ScenarioConfig, _sweep_label, load_config
 from .detect import detect
 from .errors import (
     ConfigError,
@@ -88,10 +88,9 @@ def _write_plot(csv_path: Path, xlabel: str, n_series: int, *extra: str) -> None
 
 
 def _print_certificate(cert: BoundCertificate) -> None:
-    branch = cert.branch.name
-    print(f"  branch   = {branch} (j = {cert.j})")
+    print(f"  branch   = {cert.branch.name} (j = {cert.j})")
     print(f"  gamma_j  = {_fmt(cert.gamma_j)}")
-    print(f"  p_j      = {_fmt(cert.p_j)}")
+    print(f"  p_j      = {_fmt(cert.problem.p)}")
     print(f"  lambda_m = {_fmt(cert.scalar.lambda_m)}")
     print(f"  tau_ub   = {_fmt(cert.tau_ub)}")
 
@@ -127,7 +126,7 @@ def cmd_solve(cfg: ScenarioConfig, out_dir: Path = Path(".")) -> int:
     for params in cfg.systems:
         alpha = params.alpha
         trajectory = solve(system_spec(params), solver_cfg)
-        csv_path = out_dir / f"{cfg.name}_alpha{alpha:g}.csv"
+        csv_path = out_dir / f"{cfg.name}_alpha{_sweep_label(alpha)}.csv"
         _write_csv(csv_path, trajectory.times, trajectory.states)
         _write_plot(csv_path, "t", trajectory.states.shape[1])
         print(_status_line(alpha, trajectory))
@@ -168,7 +167,7 @@ def cmd_b_curve(
             print(f"alpha={alpha:g}: not applicable: {exc}")
             code = EXIT_NOT_APPLICABLE
             continue
-        pt, q = cert.p_tilde_j, cert.q_j
+        pt, q = cert.problem.p_tilde, cert.problem.q
         lam_m = cert.scalar.lambda_m
         lo = b_domain_lower(alpha, pt, q)
         lmin = lambda_min if lambda_min is not None else lo + 1e-3 * max(1.0, abs(lo))
@@ -185,7 +184,7 @@ def cmd_b_curve(
                 values.append(big_B(float(lam), alpha, pt, q))
             except OverflowRangeError:
                 values.append(float("inf"))
-        csv_path = out_dir / f"{cfg.name}_alpha{alpha:g}_b.csv"
+        csv_path = out_dir / f"{cfg.name}_alpha{_sweep_label(alpha)}_b.csv"
         _write_columns(csv_path, "lambda,B", grid, values)
         _write_plot(csv_path, "lambda", 1,
                     f"set arrow from {lam_m:.11e}, graph 0 to {lam_m:.11e}, "

@@ -24,13 +24,13 @@ line number.
     threshold = 1e8
     budget = 5
 
-`alpha` accepts a single value in (0, 1] or a comma-separated sweep; the
-bound command needs alpha < 1. `q1` and `q2` default to 0 and `N` to
-4096; `threshold` and `budget` default to the `overflow_threshold` of
-`SolverConfig` and the `budget` of `RefinementPolicy`, the only place
-those two defaults are written. `T` has no default and is required by
-the solve and detect commands. Every key and its range is one row of
-`_KEYS`.
+`alpha` accepts a single value in (0, 1] or a comma-separated sweep whose
+file labels `{alpha:g}` differ; the bound command needs alpha < 1. `q1`
+and `q2` default to 0 and `N` to 4096; `threshold` and `budget` default
+to the `overflow_threshold` of `SolverConfig` and the `budget` of
+`RefinementPolicy`, the only place those two defaults are written. `T`
+has no default and is required by the solve and detect commands. Every
+key and its range is one row of `_KEYS`.
 """
 
 from __future__ import annotations
@@ -83,6 +83,11 @@ class ScenarioConfig:
     systems: tuple[PowerLawParams, ...]
     solver: Optional[SolverConfig]
     policy: RefinementPolicy
+
+
+def _sweep_label(alpha: float) -> str:
+    """The alpha part of a sweep's output file names."""
+    return f"{alpha:g}"
 
 
 def _parse(kind: type, raw: str, key: str, line_no: int):
@@ -157,6 +162,12 @@ def parse_config(text: str, default_name: str = "scenario") -> ScenarioConfig:
             for v in value if kind is tuple else (value,):
                 if not check(v):
                     raise ConfigError(f"line {line_no}: {key} must {must}, got {v!r}")
+        if kind is tuple:  # each swept value names its own output files
+            labels = [_sweep_label(v) for v in value]
+            for i, label in enumerate(labels):
+                if label in labels[:i]:
+                    raise ConfigError(f"line {line_no}: {key} values {value[labels.index(label)]!r} "
+                                      f"and {value[i]!r} share the file label {key}{label}")
         settings[key] = value
 
     name = settings["name"] or default_name

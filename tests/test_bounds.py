@@ -12,6 +12,7 @@ import math
 from dataclasses import replace
 
 import mpmath
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -27,6 +28,7 @@ from fracburst import (
     PowerLawParams,
     ScalarBoundProblem,
     SolverConfig,
+    SystemSpec,
     b_domain_lower,
     big_B,
     conjugate_index,
@@ -133,7 +135,7 @@ def test_big_b_overflow_raises():
 def test_big_b_within_rounding_tolerance_of_mpmath(lam):
     # Example 1, alpha = 0.9: ln B against 60 digits wherever big_B returns
     cert = theorem_bound(example_params(1, 0.9))
-    alpha, pt, q = 0.9, cert.p_tilde_j, cert.q_j
+    alpha, pt, q = 0.9, cert.problem.p_tilde, cert.problem.q
     with mpmath.workdps(60):
         lg = lambda a: mpmath.loggamma(mpmath.mpf(a))
         exact = ((pt - 1) * lg(lam + 1) + lg(lam + 1 - alpha * pt) + lg(q + lam + 2)
@@ -147,7 +149,7 @@ def test_big_b_rejects_lambda_lost_to_rounding(lam):
     # 3e-9 at lam = 1e6 and by 5.6 at 1e15, and meaningless at 1e20
     cert = theorem_bound(example_params(1, 0.9))
     with pytest.raises(DomainError, match=r"is lost to rounding: .* above 1e-09"):
-        big_B(lam, 0.9, cert.p_tilde_j, cert.q_j)
+        big_B(lam, 0.9, cert.problem.p_tilde, cert.problem.q)
 
 
 @pytest.mark.parametrize("lam, p_tilde", [(1e306, 2.0), (1.7e308, 2.0), (math.inf, 2.0),
@@ -278,9 +280,9 @@ def test_example1_branch():
     assert cert.branch is Branch.DISTINCT_Q
     assert cert.j == 2
     assert cert.gamma_j == pytest.approx(2.05)
-    assert cert.p_j == pytest.approx(5.42)
-    assert cert.q_j == 1.5
-    assert cert.u_j == 1.2
+    assert cert.problem.p == pytest.approx(5.42)
+    assert cert.problem.q == 1.5
+    assert cert.problem.u0 == 1.2
 
 
 def test_example2_branch():
@@ -288,8 +290,8 @@ def test_example2_branch():
     assert cert.branch is Branch.EQUAL_Q_BRANCH2
     assert cert.j == 2
     assert cert.gamma_j == pytest.approx(2.0)
-    assert cert.p_j == pytest.approx(1.2)
-    assert cert.q_j == 0.0
+    assert cert.problem.p == pytest.approx(1.2)
+    assert cert.problem.q == 0.0
 
 
 def test_example3_branch():
@@ -297,8 +299,8 @@ def test_example3_branch():
     assert cert.branch is Branch.EQUAL_Q_BRANCH1
     assert cert.j == 1
     assert cert.gamma_j == pytest.approx(2.0)
-    assert cert.p_j == pytest.approx(7.0)
-    assert cert.q_j == 0.5
+    assert cert.problem.p == pytest.approx(7.0)
+    assert cert.problem.q == 0.5
 
 
 def test_all_ones_not_applicable():
@@ -333,6 +335,24 @@ def test_equal_q_derived_exponent_at_most_one_is_listed():
 def test_example_params_rejects_unknown_example():
     with pytest.raises(DomainError, match="^unknown example 4, expected 1, 2 or 3$"):
         example_params(4, 0.5)
+
+
+@pytest.mark.parametrize("example", [1, 2, 3])
+@pytest.mark.parametrize("alpha", BENCH_ALPHAS)
+def test_reduced_problem_ends_before_its_bound(example, alpha):
+    # ROADMAP item 1, where the fault is not: solved on its own, each paper
+    # row's reduced problem D^a u = t^q u^p, u(0) = u0 stops before tau_ub
+    # (at 0.010 to 0.573 of it), so the scalar bound holds on all 12 rows
+    cert = theorem_bound(example_params(example, alpha))
+    problem = cert.problem
+    assert tau_bound(problem) == cert.scalar
+    spec = SystemSpec(alpha=alpha, dimension=1,
+                      rhs=lambda t, u: t ** problem.q * u ** problem.p,
+                      initial_state=np.array([problem.u0]))
+    config = SolverConfig(T=cert.tau_ub, N=4096, overflow_threshold=1e300)
+    trajectory = solve(spec, config)
+    assert trajectory.status != Completed()
+    assert trajectory.times[-1] < cert.tau_ub
 
 # D^a y = y^p22 decouples, so y exists for all t when p22 <= 1, and so does
 # x = 1 + I^a(y^3); theorem_bound still certifies both systems through
@@ -478,10 +498,10 @@ def test_applicable_certificates_are_sound(params):
     assert cert.branch is Branch.DISTINCT_Q
     assert cert.j == 2
     assert cert.gamma_j >= 2.0
-    assert cert.p_j > 1.0
+    assert cert.problem.p > 1.0
     assert math.isfinite(cert.tau_ub) and cert.tau_ub > 0.0
     assert cert.scalar.lambda_m > b_domain_lower(
-        params.alpha, cert.p_tilde_j, cert.q_j
+        params.alpha, cert.problem.p_tilde, cert.problem.q
     )
     assert theorem_bound(params) == cert
     # the same system with its components exchanged reduces onto x (j = 1)
@@ -493,6 +513,6 @@ def test_applicable_certificates_are_sound(params):
     assert exchanged.branch is Branch.DISTINCT_Q
     assert exchanged.j == 1
     assert exchanged.gamma_j == cert.gamma_j
-    assert exchanged.p_j == cert.p_j
+    assert exchanged.problem.p == cert.problem.p
     assert exchanged.tau_ub == cert.tau_ub
     assert exchanged.scalar.lambda_m == cert.scalar.lambda_m

@@ -144,6 +144,11 @@ def test_parse_solver_and_detection_sections():
                                     "comments go on a line of their own"),
         ("[system]\nT = 1\n", "line 2: unknown key 'T' in [system]"),
         ("[system]\nalpha = 0.5\nalpha = 0.6\n", "line 3: duplicate key 'alpha'"),
+        # swept values name their output files, so their labels must differ
+        (MINIMAL_CFG.replace("alpha = 0.5", "alpha = 0.5, 0.5"),
+         "line 2: alpha values 0.5 and 0.5 share the file label alpha0.5"),
+        (MINIMAL_CFG.replace("alpha = 0.5", "alpha = 0.4, 0.5, 0.5000001"),
+         "line 2: alpha values 0.5 and 0.5000001 share the file label alpha0.5"),
         ("[system]\nalpha = abc\n", "line 2: alpha is not a number: 'abc'"),
         ("[system]\nalpha = inf\n", "line 2: alpha must be finite"),
         ("[system]\nalpha = 1.5\n", "alpha must lie in (0, 1]"),

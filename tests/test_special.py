@@ -526,7 +526,7 @@ def test_magnitude_guard_raises_before_terms_leave_the_double_range(
     "alpha,beta,small,large",
     [(0.5, 1.0, 0.25, -5.5), (0.3, 0.3, 0.01, 2.5), (0.8, -1.3, 1e-3, 14.0)],
 )
-def test_cold_and_warm_tables_give_equal_values(alpha, beta, small, large):
+def test_cold_and_warm_cache_give_equal_values(alpha, beta, small, large):
     held = lambda: special._coefficient.cache_info().currsize
     special._coefficient.cache_clear()
     small_cold = mittag_leffler(alpha, beta, small)
