@@ -334,21 +334,19 @@ def _reduce(params: PowerLawParams, j: int, fields: tuple[str, ...]):
 def theorem_bound(params: PowerLawParams) -> BoundCertificate:
     """Case analysis reducing the system to a scalar bound.
 
-    Tries the rows of _REDUCTIONS for the sign of q1 - q2 in order, and
-    bounds each reduced problem by tau_bound before the next row. The
-    smaller bound is returned when both equal-q rows apply (which needs
-    p_11 + 1 and p_11 + 3 to round to the same double). When no row's
-    hypotheses hold the theorem says nothing and NotApplicableError
-    carries every violated condition.
+    Tries the rows of _REDUCTIONS for the sign of q1 - q2 in order and
+    bounds the first reduced problem by tau_bound. At most one row can
+    reduce: both equal-q rows' hypotheses hold only where p_11 >= 2**53,
+    and there branch 1's p_1 - 1 rounds to p_1, so it never reduces.
+    When no row's hypotheses hold the theorem says nothing and
+    NotApplicableError carries every violated condition.
     """
-    certs, violations = [], []
+    violations = []
     for branch, j, fields, label in _REDUCTIONS[(params.q1 > params.q2) - (params.q1 < params.q2)]:
         reduced = _reduce(params, j, fields)
         if isinstance(reduced, list):
             violations += [label + v for v in reduced]
         else:
             gamma_j, problem = reduced
-            certs.append(BoundCertificate(branch, j, gamma_j, problem, tau_bound(problem)))
-    if certs:
-        return min(certs, key=lambda cert: cert.tau_ub)
+            return BoundCertificate(branch, j, gamma_j, problem, tau_bound(problem))
     raise NotApplicableError(violations)

@@ -56,35 +56,35 @@ def _fmt(value: float) -> str:
     return f"{value:.6g}"
 
 
-def _write_columns(path: Path, header: str, *columns: np.ndarray) -> None:
-    np.savetxt(path, np.column_stack(columns), fmt="%.11e", delimiter=",",
-               header=header, comments="")
+def _write_columns(path: Path, header: str, *columns: np.ndarray,
+                   extra: tuple[str, ...] = ()) -> None:
+    """Write the columns to the CSV at path, then its gnuplot script path.plot.
+
+    The script draws every column after the first against the first,
+    labels the x axis by the header's first name, and runs the extra
+    commands before its plot line.
+    """
+    data = np.column_stack(columns)
+    np.savetxt(path, data, fmt="%.11e", delimiter=",", header=header, comments="")
+    series = ", ".join(
+        [f"'{path.name}' using 1:2 with lines"]
+        + [f"'' using 1:{i} with lines" for i in range(3, data.shape[1] + 1)]
+    )
+    script = "\n".join([
+        "set datafile separator ','",
+        "set key autotitle columnhead",
+        f"set xlabel '{header.split(',')[0]}'",
+        *extra,
+        f"plot {series}",
+        "",
+    ])
+    with open(path.with_suffix(".plot"), "w", newline="") as fh:
+        fh.write(script)
 
 
 def _write_csv(path: Path, times: np.ndarray, states: np.ndarray) -> None:
     header = "t," + ",".join(f"x{i + 1}" for i in range(states.shape[1]))
     _write_columns(path, header, times, states)
-
-
-def _write_plot(csv_path: Path, xlabel: str, n_series: int, *extra: str) -> None:
-    """Write csv_path.plot: gnuplot draws columns 2 to n_series + 1 against 1.
-
-    The extra commands go before the plot line.
-    """
-    series = ", ".join(
-        [f"'{csv_path.name}' using 1:2 with lines"]
-        + [f"'' using 1:{i + 2} with lines" for i in range(1, n_series)]
-    )
-    script = "\n".join([
-        "set datafile separator ','",
-        "set key autotitle columnhead",
-        f"set xlabel '{xlabel}'",
-        *extra,
-        f"plot {series}",
-        "",
-    ])
-    with open(csv_path.with_suffix(".plot"), "w", newline="") as fh:
-        fh.write(script)
 
 
 def _print_certificate(cert: BoundCertificate) -> None:
@@ -128,7 +128,6 @@ def cmd_solve(cfg: ScenarioConfig, out_dir: Path = Path(".")) -> int:
         trajectory = solve(system_spec(params), solver_cfg)
         csv_path = out_dir / f"{cfg.name}_alpha{_sweep_label(alpha)}.csv"
         _write_csv(csv_path, trajectory.times, trajectory.states)
-        _write_plot(csv_path, "t", trajectory.states.shape[1])
         print(_status_line(alpha, trajectory))
         print(f"  wrote {csv_path} and {csv_path.with_suffix('.plot')}")
     return EXIT_OK
@@ -185,10 +184,9 @@ def cmd_b_curve(
             except OverflowRangeError:
                 values.append(float("inf"))
         csv_path = out_dir / f"{cfg.name}_alpha{_sweep_label(alpha)}_b.csv"
-        _write_columns(csv_path, "lambda,B", grid, values)
-        _write_plot(csv_path, "lambda", 1,
-                    f"set arrow from {lam_m:.11e}, graph 0 to {lam_m:.11e}, "
-                    "graph 1 nohead dashtype 2")
+        _write_columns(csv_path, "lambda,B", grid, values,
+                       extra=(f"set arrow from {lam_m:.11e}, graph 0 to {lam_m:.11e}, "
+                              "graph 1 nohead dashtype 2",))
         print(f"alpha={alpha:g}: lambda_m = {_fmt(lam_m)}, B_min = {_fmt(cert.scalar.B_min)}")
         print(f"  wrote {csv_path} and {csv_path.with_suffix('.plot')}")
     return code
@@ -220,7 +218,6 @@ def _reproduce_row(example: int, alpha: float, base_n: int, out_dir: Path) -> _R
         trajectory = result.trajectory
         csv_path = out_dir / f"{scenario.name}.csv"
         _write_csv(csv_path, trajectory.times, trajectory.states)
-        _write_plot(csv_path, "t", trajectory.states.shape[1])
     except FracburstError as exc:
         row.error = f"{type(exc).__name__}: {exc}"
     return row

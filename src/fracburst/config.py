@@ -157,11 +157,10 @@ def parse_config(text: str, default_name: str = "scenario") -> ScenarioConfig:
             continue
         raw, line_no = values[key]
         value = _parse(kind, raw, key, line_no)
-        if requirement is not None:
-            must, check = requirement
-            for v in value if kind is tuple else (value,):
-                if not check(v):
-                    raise ConfigError(f"line {line_no}: {key} must {must}, got {v!r}")
+        must, check = requirement
+        for v in value if kind is tuple else (value,):
+            if not check(v):
+                raise ConfigError(f"line {line_no}: {key} must {must}, got {v!r}")
         if kind is tuple:  # each swept value names its own output files
             labels = [_sweep_label(v) for v in value]
             for i, label in enumerate(labels):

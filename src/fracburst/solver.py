@@ -183,9 +183,7 @@ def solve(spec: SystemSpec, config: SolverConfig) -> Trajectory:
             t_next = (n + 1) * h
             hist_p = c1r[N - n:] @ fvals[: n + 1]
             f_pred = f(t_next, x0 + pred_coef * hist_p)
-            hist_c = a0[n] * fvals[0]
-            if n >= 1:
-                hist_c = hist_c + c2r[N - n:] @ fvals[1: n + 1]
+            hist_c = a0[n] * fvals[0] + c2r[N - n:] @ fvals[1: n + 1]
             # a non-finite f_pred makes x_next non-finite: one check covers both
             x_next = x0 + corr_coef * (hist_c + f_pred)
             if not all(abs(v) <= bound for v in x_next.tolist()):

@@ -332,6 +332,25 @@ def test_equal_q_derived_exponent_at_most_one_is_listed():
     assert not any("admissibility" in v for v in violations)
 
 
+@pytest.mark.parametrize("p11, p12, p21, p22", [
+    (2.0 ** 53 + 2, 2.0 ** 53 + 8, 2.0 ** 53 + 6, 2.0 ** 53 + 4),
+    (2.0 ** 55, 2.0 ** 55 + 8, 2.0 ** 55 + 8, 2.0 ** 55),
+])
+@pytest.mark.parametrize("q, error, match", [
+    (0.5, DomainError, "p_tilde must exceed 1, got 1.0"),
+    (2.0 ** 53, NotApplicableError, "branch 1: admissibility q_1"),
+])
+def test_equal_q_rounding_corner_certifies_nothing(p11, p12, p21, p22, q, error, match):
+    # both equal-q rows' hypotheses hold where p + 1 and p + 3 round alike,
+    # but branch 1's p_1 is then so large that its conjugate index is 1.0
+    assert p22 >= 3.0 + p11 and p21 + 1.0 >= p12  # branch 1
+    assert p12 >= 3.0 + p21 and p11 + 1.0 >= p22  # branch 2
+    params = PowerLawParams(alpha=0.5, q1=q, q2=q, p11=p11, p12=p12,
+                            p21=p21, p22=p22, x0=1.0, y0=1.0)
+    with pytest.raises(error, match=match):
+        theorem_bound(params)
+
+
 def test_example_params_rejects_unknown_example():
     with pytest.raises(DomainError, match="^unknown example 4, expected 1, 2 or 3$"):
         example_params(4, 0.5)

@@ -243,6 +243,16 @@ def test_solve_writes_csv_and_plot(solved):
     assert csv_path.name in plot_path.read_text()
 
 
+def test_solve_plot_script_text(solved):
+    _, _, _, tmp_path = solved
+    assert (tmp_path / "scenario_alpha0.5.plot").read_bytes() == (
+        b"set datafile separator ','\n"
+        b"set key autotitle columnhead\n"
+        b"set xlabel 't'\n"
+        b"plot 'scenario_alpha0.5.csv' using 1:2 with lines, '' using 1:3 with lines\n"
+    )
+
+
 def test_csv_schema(solved):
     _, _, _, tmp_path = solved
     csv_path = tmp_path / "scenario_alpha0.5.csv"
@@ -339,6 +349,21 @@ def test_b_curve_default_range(tmp_path):
     assert lam[k] == pytest.approx(-0.802, abs=5e-3)
     plot = (tmp_path / "e1_alpha0.1_b.plot").read_text()
     assert "dashtype 2" in plot and csv_path.name in plot
+
+
+def test_b_curve_plot_script_text(tmp_path):
+    cfg = parse_config("name = e1\n" + EXAMPLE1_CFG.split("\n", 1)[1]
+                       .replace("alpha = 0.1, 0.4, 0.6, 0.9", "alpha = 0.1"))
+    run_cmd(cmd_b_curve, cfg, out_dir=tmp_path)
+    lam_m = f"{theorem_bound(cfg.systems[0]).scalar.lambda_m:.11e}"
+    assert lam_m.startswith("-8.02")
+    assert (tmp_path / "e1_alpha0.1_b.plot").read_bytes() == (
+        b"set datafile separator ','\n"
+        b"set key autotitle columnhead\n"
+        b"set xlabel 'lambda'\n"
+        + f"set arrow from {lam_m}, graph 0 to {lam_m}, graph 1 nohead dashtype 2\n".encode()
+        + b"plot 'e1_alpha0.1_b.csv' using 1:2 with lines\n"
+    )
 
 
 def test_b_curve_explicit_range(tmp_path):
