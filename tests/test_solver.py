@@ -166,6 +166,12 @@ def test_zero_rhs_keeps_initial_value():
     assert traj.states.shape == (65, 1)
 
 
+def test_subnormal_alpha_completes():
+    traj = solve(scalar_spec(1e-310, lambda t, x: -x), SolverConfig(T=1.0, N=8))
+    assert isinstance(traj.status, Completed)
+    assert traj.states.shape == (9, 1) and np.isfinite(traj.states).all()
+
+
 def test_times_are_exact_grid_products():
     traj = solve(scalar_spec(0.7, lambda t, x: x), SolverConfig(T=0.8, N=40))
     h = 0.8 / 40
