@@ -59,10 +59,17 @@ def system_spec(params: PowerLawParams) -> SystemSpec:
     Equation i reads f_i(t, x) = t^(q_i) * prod_k x_k^(p_ik): row i of the
     exponent matrix is (p_i1, p_i2).
     """
-    q = np.array([params.q1, params.q2], dtype=float)
-    p = np.array([[params.p11, params.p12], [params.p21, params.p22]], dtype=float)
-    return SystemSpec(alpha=params.alpha, dimension=2,
-                      rhs=lambda t, state: t ** q * (state ** p).prod(axis=1),
+    # the six powers t^q1, x^p11, y^p12, t^q2, x^p21, y^p22 in one numpy call;
+    # numpy's power, not Python's, which rounds differently and raises on overflow
+    exponents = np.array([params.q1, params.p11, params.p12,
+                          params.q2, params.p21, params.p22], dtype=float)
+
+    def rhs(t, state):
+        x, y = state.tolist()
+        a, b, c, d, e, f = (np.array((t, x, y, t, x, y)) ** exponents).tolist()
+        return np.array((a * (b * c), d * (e * f)))
+
+    return SystemSpec(alpha=params.alpha, dimension=2, rhs=rhs,
                       initial_state=np.array([params.x0, params.y0]))
 
 

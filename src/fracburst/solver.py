@@ -7,10 +7,14 @@ against precomputed weight tables; right-hand-side values are cached so
 each accepted state is evaluated once.
 
 On 2-vectors the per-step cost is numpy call overhead, not arithmetic,
-so each step makes as few numpy calls as it can. The stop test is one
-scalar pass, |x_k| <= min(threshold, float max) for every component k:
-NaN and +-inf fail it even at an infinite threshold, and only the step
-that fails it works out whether the run ended NonFinite or Overflowed.
+so each step is two BLAS dots over the history and two rhs calls. The
+float arithmetic between them runs on Python floats from .tolist(), in
+the IEEE order of the array expressions x0 + pred_coef * hist_p and
+x0 + corr_coef * ((a0 * f0 + hist_c) + f_pred), so it rounds exactly as
+they do. The stop test is one scalar pass, |x_k| <= min(threshold,
+float max) for every component k: NaN and +-inf fail it even at an
+infinite threshold, and only the step that fails it works out whether
+the run ended NonFinite or Overflowed.
 
 Also carries the L1 discrete Caputo derivative used by the residual and
 inequality tests.
@@ -173,22 +177,29 @@ def solve(spec: SystemSpec, config: SolverConfig) -> Trajectory:
         kept = states if last == N else states[: last + 1].copy()
         return Trajectory(times=times, states=kept, status=status)
 
+    x0s = x0.tolist()
+    a0s = a0.tolist()
     with np.errstate(all="ignore"):
-        fv = f(0.0, states[0])
+        # a copy, so an rhs that works on its argument in place keeps row 0
+        fv = f(0.0, x0.copy())
         if np.shape(fv) != (n_dim,):
             raise DomainError(f"rhs returned shape {np.shape(fv)}, expected ({n_dim},)")
         if not np.isfinite(fv).all():
             return finish(0, NonFinite(step=0))
         fvals[0] = fv
+        f0 = fvals[0].tolist()
 
         for n in range(N):
             t_next = (n + 1) * h
-            hist_p = c1r[N - n:] @ fvals[: n + 1]
-            f_pred = f(t_next, x0 + pred_coef * hist_p)
-            hist_c = a0[n] * fvals[0] + c2r[N - n:] @ fvals[1: n + 1]
-            # a non-finite f_pred makes x_next non-finite: one check covers both
-            x_next = x0 + corr_coef * (hist_c + f_pred)
-            if not all(abs(v) <= bound for v in x_next.tolist()):
+            hist_p = c1r[N - n:].dot(fvals[: n + 1]).tolist()
+            # the predicted rhs waits in row n + 1 until the corrected one replaces it
+            fvals[n + 1] = f(t_next, np.array([x + pred_coef * p for x, p in zip(x0s, hist_p)]))
+            hist_c = c2r[N - n:].dot(fvals[1: n + 1]).tolist()
+            a = a0s[n]
+            # a non-finite predicted rhs makes x_next non-finite: one check covers both
+            x_next = [x + corr_coef * ((a * g + c) + p)
+                      for x, g, c, p in zip(x0s, f0, hist_c, fvals[n + 1].tolist())]
+            if not all(map(bound.__ge__, map(abs, x_next))):
                 if not np.isfinite(x_next).all():
                     return finish(n, NonFinite(step=n + 1))
                 states[n + 1] = x_next
@@ -196,10 +207,9 @@ def solve(spec: SystemSpec, config: SolverConfig) -> Trajectory:
                 return finish(n + 1, Overflowed(step=n + 1, component=int(np.argmax(over))))
             states[n + 1] = x_next
             if n + 1 < N:
-                fv = f(t_next, x_next)
-                if not np.isfinite(fv).all():
+                fvals[n + 1] = f(t_next, np.array(x_next))
+                if not all(map(math.isfinite, fvals[n + 1].tolist())):
                     return finish(n + 1, NonFinite(step=n + 1))
-                fvals[n + 1] = fv
 
     return finish(N, Completed())
 

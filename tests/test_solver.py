@@ -10,6 +10,7 @@ grid-halving behavior away from the derivative singularity at t=0.
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -22,11 +23,14 @@ from fracburst import (
     PowerLawParams,
     SolverConfig,
     SystemSpec,
+    Trajectory,
+    detection_scenario,
     example_params,
     l1_caputo,
     solve,
     system_spec,
 )
+from fracburst.solver import _weight_tables
 
 
 def scalar_spec(alpha, rhs, u0=1.0):
@@ -336,6 +340,136 @@ def test_trajectory_owns_its_states(rhs, thr, status):
     traj = solve(spec, SolverConfig(T=1.0, N=64, overflow_threshold=thr))
     assert isinstance(traj.status, status)
     assert traj.states.base is None
+
+
+@pytest.mark.parametrize("in_place, pure", [
+    # D^(1/2) u = -0.5 (2u), scaled in place and returned
+    (lambda t, x: np.multiply(np.multiply(x, 2.0, out=x), -0.5, out=x),
+     lambda t, x: -0.5 * (2.0 * x)),
+    # scaled in place, a new array returned
+    (lambda t, x: -0.5 * np.multiply(x, 2.0, out=x), lambda t, x: -0.5 * (2.0 * x)),
+    # the argument itself returned
+    (lambda t, x: x, lambda t, x: x.copy()),
+], ids=["scaled-in-place", "scaled-in-place-then-new", "returns-its-argument"])
+def test_rhs_that_writes_its_argument_leaves_the_trajectory_alone(in_place, pure):
+    cfg = SolverConfig(T=1.0, N=32)
+    got, want = solve(scalar_spec(0.5, in_place), cfg), solve(scalar_spec(0.5, pure), cfg)
+    assert got.states[0, 0] == 1.0
+    assert np.array_equal(got.states, want.states) and got.status == want.status
+
+
+# ---------------------------------------------------------------------------
+# the step loop against its array form, bit for bit
+
+def solve_by_arrays(spec, config):
+    """solve's step loop written with array expressions, as it was before it
+    moved to Python floats between the two history dots; solve must give
+    the same bits."""
+    n_dim = spec.dimension
+    N = config.N
+    h = config.T / N
+    alpha = spec.alpha
+    thr = config.overflow_threshold
+    bound = min(thr, sys.float_info.max)
+
+    f = spec.rhs
+    x0 = spec.initial_state
+    c1r, c2r, a0 = _weight_tables(N, alpha)
+    pred_coef = h ** alpha / math.gamma(alpha + 1.0)
+    corr_coef = h ** alpha / math.gamma(alpha + 2.0)
+
+    states = np.empty((N + 1, n_dim))
+    fvals = np.empty((N + 1, n_dim))
+    states[0] = x0
+
+    def finish(last, status):
+        times = np.arange(last + 1, dtype=float) * h
+        kept = states if last == N else states[: last + 1].copy()
+        return Trajectory(times=times, states=kept, status=status)
+
+    with np.errstate(all="ignore"):
+        fv = f(0.0, states[0])
+        if np.shape(fv) != (n_dim,):
+            raise DomainError(f"rhs returned shape {np.shape(fv)}, expected ({n_dim},)")
+        if not np.isfinite(fv).all():
+            return finish(0, NonFinite(step=0))
+        fvals[0] = fv
+
+        for n in range(N):
+            t_next = (n + 1) * h
+            hist_p = c1r[N - n:] @ fvals[: n + 1]
+            f_pred = f(t_next, x0 + pred_coef * hist_p)
+            hist_c = a0[n] * fvals[0] + c2r[N - n:] @ fvals[1: n + 1]
+            x_next = x0 + corr_coef * (hist_c + f_pred)
+            if not all(abs(v) <= bound for v in x_next.tolist()):
+                if not np.isfinite(x_next).all():
+                    return finish(n, NonFinite(step=n + 1))
+                states[n + 1] = x_next
+                over = np.abs(x_next) > thr
+                return finish(n + 1, Overflowed(step=n + 1, component=int(np.argmax(over))))
+            states[n + 1] = x_next
+            if n + 1 < N:
+                fv = f(t_next, x_next)
+                if not np.isfinite(fv).all():
+                    return finish(n + 1, NonFinite(step=n + 1))
+                fvals[n + 1] = fv
+
+    return finish(N, Completed())
+
+
+def assert_same_bits(spec, config):
+    got, want = solve(spec, config), solve_by_arrays(spec, config)
+    assert np.array_equal(got.times, want.times)
+    assert got.states.tobytes() == want.states.tobytes()
+    assert got.status == want.status
+    return type(got.status)
+
+
+@pytest.mark.parametrize("threshold", [1e8, 1e300, math.inf])
+@pytest.mark.parametrize("alpha", [0.4, 0.9])
+@pytest.mark.parametrize("example", [1, 2, 3])
+def test_step_loop_matches_array_form_on_examples(example, alpha, threshold):
+    spec = system_spec(example_params(example, alpha))
+    horizon = detection_scenario(example, alpha).base_config.T
+    for N in (1, 2, 7, 300):
+        for T in (0.25 * horizon, 2.0 * horizon):
+            assert_same_bits(spec, SolverConfig(T=T, N=N, overflow_threshold=threshold))
+
+
+@pytest.mark.parametrize("example, alpha, T, N, threshold, status", [
+    (3, 0.4, 0.05, 2 ** 13, 1e8, Completed),
+    (3, 0.4, 0.5, 2 ** 13, 1e8, Overflowed),
+    (3, 0.4, 0.5, 2 ** 13, 1e300, NonFinite),
+    (3, 0.9, 0.5, 2 ** 13, math.inf, NonFinite),
+    (None, 0.5, 1.0, 2 ** 13, math.inf, Completed),
+    (None, 0.5, 30.0, 2 ** 13, 1e8, Overflowed),
+    (None, 1.0, 2.0, 1, 1e8, Completed),
+    (None, 0.3, 3.0, 1000, 1e300, Completed),
+])
+def test_step_loop_matches_array_form(example, alpha, T, N, threshold, status):
+    if example is None:
+        spec = scalar_spec(alpha, lambda t, x: x)
+    else:
+        spec = system_spec(example_params(example, alpha))
+    assert assert_same_bits(spec, SolverConfig(T=T, N=N, overflow_threshold=threshold)) is status
+
+
+def test_power_law_rhs_matches_the_broadcast_expression():
+    rng = np.random.default_rng(29)
+    special = (0.0, 1e-300, 1e300, math.inf, math.nan)
+    for _ in range(2000):
+        q1, q2, p11, p12, p21, p22 = np.where(rng.random(6) < 0.2, 0.0, rng.uniform(0.0, 8.0, 6))
+        params = PowerLawParams(alpha=0.5, q1=q1, q2=q2, p11=p11, p12=p12,
+                                p21=p21, p22=p22, x0=1.0, y0=1.0)
+        q = np.array([q1, q2])
+        p = np.array([[p11, p12], [p21, p22]])
+        t = rng.choice(special) if rng.random() < 0.3 else rng.exponential(3.0)
+        state = np.array([rng.choice(special + (-math.inf,)) if rng.random() < 0.3
+                          else rng.uniform(-5.0, 5.0) for _ in range(2)])
+        with np.errstate(all="ignore"):
+            got = system_spec(params).rhs(t, state)
+            want = t ** q * (state ** p).prod(axis=1)
+        assert got.tobytes() == want.tobytes(), (params, t, state)
 
 
 # ---------------------------------------------------------------------------
