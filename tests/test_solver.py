@@ -362,9 +362,8 @@ def test_rhs_that_writes_its_argument_leaves_the_trajectory_alone(in_place, pure
 # the step loop against its array form, bit for bit
 
 def solve_by_arrays(spec, config):
-    """solve's step loop written with array expressions, as it was before it
-    moved to Python floats between the two history dots; solve must give
-    the same bits."""
+    """solve's step loop written with array expressions: the oracle whose
+    bits solve's float arithmetic between the history dots must give."""
     n_dim = spec.dimension
     N = config.N
     h = config.T / N
