@@ -156,9 +156,13 @@ def solve(spec: SystemSpec, config: SolverConfig) -> Trajectory:
     N = config.N
     h = config.T / N
     alpha = spec.alpha
+    # one scalar test per step: NaN and +-inf fail it even when thr is inf.
+    # bound is a float, so bound.__ge__ answers for an int threshold too, and
+    # the largest float <= thr, so |x| <= bound reads exactly as |x| <= thr
     thr = config.overflow_threshold
-    # one scalar test per step: NaN and +-inf fail it even when thr is inf
-    bound = min(thr, sys.float_info.max)
+    bound = float(min(thr, sys.float_info.max))
+    if bound > thr:
+        bound = math.nextafter(bound, 0.0)
 
     f = spec.rhs
     x0 = spec.initial_state
@@ -203,7 +207,7 @@ def solve(spec: SystemSpec, config: SolverConfig) -> Trajectory:
                 if not np.isfinite(x_next).all():
                     return finish(n, NonFinite(step=n + 1))
                 states[n + 1] = x_next
-                over = np.abs(x_next) > thr
+                over = np.abs(x_next) > bound
                 return finish(n + 1, Overflowed(step=n + 1, component=int(np.argmax(over))))
             states[n + 1] = x_next
             if n + 1 < N:

@@ -328,6 +328,16 @@ def test_overflow_in_second_component_alone():
     assert np.all(traj.states[:-1, 1] <= 5.0)
 
 
+def test_int_threshold_between_floats_compares_exactly():
+    # at alpha = 1, N = 1 the step lands on x0 + c*T = 2^53 + 4 exactly, one
+    # above a threshold whose nearest float is 2^53 + 4 itself
+    c = 2.0 ** 53 + 4.0
+    spec = scalar_spec(1.0, lambda t, x: np.array([c]), u0=0.0)
+    traj = solve(spec, SolverConfig(T=1.0, N=1, overflow_threshold=2 ** 53 + 3))
+    assert traj.states[-1, 0] == c
+    assert traj.status == Overflowed(step=1, component=0)
+
+
 @pytest.mark.parametrize("rhs, thr, status", [
     (lambda t, x: x, 1e8, Completed),
     (lambda t, x: np.array([0.0, 10.0]), 5.0, Overflowed),
@@ -444,6 +454,10 @@ def test_step_loop_matches_array_form_on_examples(example, alpha, threshold):
     (None, 0.5, 30.0, 2 ** 13, 1e8, Overflowed),
     (None, 1.0, 2.0, 1, 1e8, Completed),
     (None, 0.3, 3.0, 1000, 1e300, Completed),
+    # int thresholds: the parent compared them exactly, as ints
+    (3, 0.4, 0.5, 300, 10 ** 8, Overflowed),
+    (3, 0.9, 0.5, 300, 10 ** 300, NonFinite),
+    (None, 0.5, 30.0, 300, 5, Overflowed),
 ])
 def test_step_loop_matches_array_form(example, alpha, T, N, threshold, status):
     if example is None:
