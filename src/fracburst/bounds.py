@@ -157,13 +157,11 @@ def _ln_big_B(lam: float, alpha: float, p_tilde: float, q: float) -> float:
     a3 = q + lam + 2.0
     a4 = lam + 1.0 - alpha
     a5 = q + lam + 2.0 - p_tilde * (q + alpha)
-    # one chained test on the hot path; the loop only names the first failure
-    if not (a1 > 0.0 and a2 > 0.0 and a3 > 0.0 and a4 > 0.0 and a5 > 0.0):
-        for name, a in (("lam+1", a1), ("lam+1-alpha*p_tilde", a2),
-                        ("q+lam+2", a3), ("lam+1-alpha", a4),
-                        ("q+lam+2-p_tilde*(q+alpha)", a5)):
-            if not (a > 0.0):
-                raise DomainError(f"gamma argument {name} = {a} is not positive")
+    for name, a in (("lam+1", a1), ("lam+1-alpha*p_tilde", a2),
+                    ("q+lam+2", a3), ("lam+1-alpha", a4),
+                    ("q+lam+2-p_tilde*(q+alpha)", a5)):
+        if not (a > 0.0):
+            raise DomainError(f"gamma argument {name} = {a} is not positive")
     try:
         g1, g2, g3 = math.lgamma(a1), math.lgamma(a2), math.lgamma(a3)
         g4, g5 = math.lgamma(a4), math.lgamma(a5)
