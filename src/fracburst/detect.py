@@ -70,7 +70,7 @@ def _crossing_index(trajectory: Trajectory, threshold: float) -> Optional[int]:
 
 
 def crossing_time(trajectory: Trajectory, threshold: float) -> Optional[float]:
-    """First grid time where sum_i |x_i| exceeds threshold, None if never."""
+    """First grid time where sum_i |x_i| > threshold (pass a SolverConfig's), None if never."""
     k = _crossing_index(trajectory, threshold)
     return None if k is None else float(trajectory.times[k])
 
@@ -88,17 +88,14 @@ def detect(
     integers). A completed finest run with no crossing yields a report
     with t_num None and converged False rather than an error.
     """
-    threshold = base_config.overflow_threshold
     runs: list[tuple[int, Optional[float]]] = []
     prev_k: Optional[int] = None
     converged = False
-    crossing = None
-    trajectory = None
 
     for level in range(policy.budget + 1):
         n = base_config.N * 2 ** level
         trajectory = solve(spec, replace(base_config, N=n))
-        k = _crossing_index(trajectory, threshold)
+        k = _crossing_index(trajectory, base_config.overflow_threshold)
         crossing = None if k is None else float(trajectory.times[k])
         runs.append((n, crossing))
         if k is not None and prev_k is not None and abs(k - 2 * prev_k) <= 2:

@@ -11,10 +11,9 @@ so each step is two BLAS dots over the history and two rhs calls. The
 float arithmetic between them runs on Python floats from .tolist(), in
 the IEEE order of the array expressions x0 + pred_coef * hist_p and
 x0 + corr_coef * ((a0 * f0 + hist_c) + f_pred), so it rounds exactly as
-they do. The stop test is one scalar pass, |x_k| <= min(threshold,
-float max) for every component k: NaN and +-inf fail it even at an
-infinite threshold, and only the step that fails it works out whether
-the run ended NonFinite or Overflowed.
+they do. The stop test is one scalar pass over |x_k| <= min(threshold,
+float max), and only the step that fails it works out whether the run
+ended NonFinite or Overflowed.
 
 Also carries the L1 discrete Caputo derivative used by the residual and
 inequality tests.
@@ -70,6 +69,13 @@ class SystemSpec:
 
 @dataclass(frozen=True)
 class SolverConfig:
+    """Grid [0, T] in N steps of h = T/N, and the overflow threshold.
+
+    solve stops once a component exceeds the threshold in magnitude, and
+    detect crosses where sum_k |x_k| exceeds it. It is stored as the largest
+    float at or below the value given, so floats compare with both alike.
+    """
+
     T: float
     N: int
     overflow_threshold: float = 1e8
@@ -86,8 +92,11 @@ class SolverConfig:
         if n < 1:
             raise DomainError(f"step count N must be >= 1, got {n}")
         object.__setattr__(self, "N", n)
-        if not (self.overflow_threshold > 0.0):
+        thr = self.overflow_threshold
+        if not (thr > 0.0):
             raise DomainError("overflow threshold must be positive")
+        f = float(min(thr, sys.float_info.max) if thr < math.inf else thr)
+        object.__setattr__(self, "overflow_threshold", f if f <= thr else math.nextafter(f, 0.0))
 
 
 @dataclass(frozen=True)
@@ -156,13 +165,8 @@ def solve(spec: SystemSpec, config: SolverConfig) -> Trajectory:
     N = config.N
     h = config.T / N
     alpha = spec.alpha
-    # one scalar test per step: NaN and +-inf fail it even when thr is inf.
-    # bound is a float, so bound.__ge__ answers for an int threshold too, and
-    # the largest float <= thr, so |x| <= bound reads exactly as |x| <= thr
-    thr = config.overflow_threshold
-    bound = float(min(thr, sys.float_info.max))
-    if bound > thr:
-        bound = math.nextafter(bound, 0.0)
+    # finite, so NaN and +-inf fail |x| <= bound even at an infinite threshold
+    bound = min(config.overflow_threshold, sys.float_info.max)
 
     f = spec.rhs
     x0 = spec.initial_state
@@ -203,13 +207,12 @@ def solve(spec: SystemSpec, config: SolverConfig) -> Trajectory:
             # a non-finite predicted rhs makes x_next non-finite: one check covers both
             x_next = [x + corr_coef * ((a * g + c) + p)
                       for x, g, c, p in zip(x0s, f0, hist_c, fvals[n + 1].tolist())]
+            states[n + 1] = x_next
             if not all(map(bound.__ge__, map(abs, x_next))):
                 if not np.isfinite(x_next).all():
                     return finish(n, NonFinite(step=n + 1))
-                states[n + 1] = x_next
                 over = np.abs(x_next) > bound
                 return finish(n + 1, Overflowed(step=n + 1, component=int(np.argmax(over))))
-            states[n + 1] = x_next
             if n + 1 < N:
                 fvals[n + 1] = f(t_next, np.array(x_next))
                 if not all(map(math.isfinite, fvals[n + 1].tolist())):

@@ -11,6 +11,7 @@ alias into the comparison.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -139,6 +140,26 @@ def test_nonfinite_before_crossing_raises():
         detect(scalar_spec(0.5, rhs, u0=2.0),
                SolverConfig(T=2.0, N=8, overflow_threshold=1e300),
                RefinementPolicy(0))
+
+
+def test_detect_crosses_where_solve_stops_on_an_int_threshold():
+    # at alpha = 1, N = 1 the step lands on 2^53 + 4, one above the threshold
+    c = 2.0 ** 53 + 4.0
+    spec = scalar_spec(1.0, lambda t, x: np.array([c]), u0=0.0)
+    config = SolverConfig(T=1.0, N=1, overflow_threshold=2 ** 53 + 3)
+    assert solve(spec, config).status.step == 1
+    assert detect(spec, config).t_num == 1.0
+
+
+def test_threshold_beyond_the_float_range_reads_as_float_max():
+    messages = []
+    for threshold in (sys.float_info.max, 10 ** 400):
+        with pytest.raises(NonConvergenceError) as info:
+            detect(scalar_spec(0.5, lambda t, x: x ** 3, u0=2.0),
+                   SolverConfig(T=2.0, N=8, overflow_threshold=threshold),
+                   RefinementPolicy(0))
+        messages.append(str(info.value))
+    assert messages[0] == messages[1]
 
 
 def test_all_benchmarks_detect_a_crossing(detection_rows):
